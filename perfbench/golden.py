@@ -10,7 +10,7 @@ only when a change is meant to alter verdicts; a performance change
 must leave every digest as it is.
 
 ``--check`` also runs the shard-invariance test: ``serve-sharded-attack``
-on one shard must give the digest recorded for two shards.
+on two shards must give the digest recorded for one shard.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from run import GOLDEN, WORK, Bench
-from workloads import SEED_SLOTS, WORKLOADS
+from workloads import POOL_SHARDS, SEED_SLOTS, WORKLOADS
 
 
 def run_once(bench: Bench, *extra: str) -> dict:
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
                 bench = Bench(workload, slot, Path(scratch), time.monotonic())
                 report = run_once(bench)
                 intervals = WORKLOADS[workload]["config"]["intervals"]
-                found = bench.problems({"report": report}, intervals, full=args.check)
+                found = bench.problems({"report": report}, slot, intervals, full=args.check)
                 entry = {
                     "fleet_digest": report["fleet_digest"],
                     "attacked_devices_alarmed": report["attacked_devices_alarmed"],
@@ -64,8 +64,8 @@ def main(argv=None) -> int:
                 golden.setdefault(workload, {})[str(slot)] = entry
         if args.check:
             bench = Bench("serve-sharded-attack", 0, Path(scratch), time.monotonic())
-            one_shard = run_once(bench, "--shards", "1")
-            same = one_shard["fleet_digest"] == bench.golden["fleet_digest"]
+            two_shards = run_once(bench, "--shards", str(POOL_SHARDS))
+            same = two_shards["fleet_digest"] == bench.golden["0"]["fleet_digest"]
             print("shard invariance (1 vs 2 shards):", "ok" if same else "DIFFERENT")
             mismatches += not same
     finally:

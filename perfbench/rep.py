@@ -4,8 +4,9 @@
 it writes to ``--out``.  Modes:
 
 * ``import`` — import the package and stop (compiles bytecode);
-* ``prepare`` — resolve the workload's detectors through the artifact
-  cache in ``--cache-dir`` (fills a warm cache; untimed);
+* ``prepare`` — resolve the workload's detectors for every fleet seed
+  slot through the artifact cache in ``--cache-dir`` (fills a warm
+  cache; untimed);
 * ``setup`` — the workload with one interval per device; ``run.py``
   times the whole process from outside as the set-up probe;
 * ``run`` — the workload as configured, through the public
@@ -27,7 +28,7 @@ import sys
 import time
 from pathlib import Path
 
-from workloads import WORKLOADS, fleet_seed
+from workloads import SEED_SLOTS, WORKLOADS, fleet_seed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -135,12 +136,15 @@ def main(argv=None) -> int:
     if args.mode == "import":
         pass
     elif args.mode == "prepare":
-        specs = FleetService(config).build_specs()
-        registry = DetectorRegistry(
-            root_seed=config.seed, train=config.train, cache=ArtifactCache(config.cache_dir)
-        )
-        registry.fleet_payload((spec.profile for spec in specs), modality=config.modality)
-        result["cache_hits"] = registry.cache_hits
+        result["cache_hits"] = 0
+        for slot in range(SEED_SLOTS):
+            config = serve_config(args.workload, slot, args.cache_dir)
+            specs = FleetService(config).build_specs()
+            registry = DetectorRegistry(
+                root_seed=config.seed, train=config.train, cache=ArtifactCache(config.cache_dir)
+            )
+            registry.fleet_payload((spec.profile for spec in specs), modality=config.modality)
+            result["cache_hits"] += registry.cache_hits
     else:
         started = time.perf_counter()
         report = FleetService(config).run()

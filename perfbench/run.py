@@ -7,13 +7,15 @@ every repetition is a fresh interpreter (``rep.py``) that calls the
 public ``repro.serve.FleetService(ServeConfig(...)).run()``, and the
 simulator produces intervals as fast as the program scores them.
 
-``--trace 0`` alternates set-up probes (fresh-interpreter one-interval
-runs, timed from outside) with full repetitions until ``--seconds``
-have passed and each kind ran its workload's minimum number of times,
-then reports the end-to-end metrics as medians.  ``--trace 1`` alternates untraced and
-traced full repetitions and reports the per-layer metrics of the
-traced ones.  Every repetition's outputs are checked (ledger balance,
-golden fleet digest, attacked devices alarmed).
+``--trace 0`` runs one set-up probe (a fresh-interpreter one-interval
+run, timed from outside) per ``REPS_PER_PROBE`` full repetitions until
+``--seconds`` have passed and each kind ran its minimum number of
+times, then reports the end-to-end metrics as medians.  ``--trace 1``
+cycles through untraced, traced and traced two-shard (pool)
+repetitions and reports the per-layer metrics of the traced ones.  The
+``k``-th repetition of each kind uses fleet seed
+``(seed + k) % SEED_SLOTS``.  Every repetition's outputs are checked
+(ledger balance, golden fleet digest, attacked devices alarmed).
 
 The last stdout line is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  Scratch files, the warm
@@ -24,10 +26,12 @@ artifact cache, raw spans and per-run results live under
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -36,7 +40,7 @@ import threading
 import time
 from pathlib import Path
 
-from workloads import WORKLOADS, fleet_seed
+from workloads import POOL_SHARDS, WORKLOADS, fleet_seed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -47,6 +51,13 @@ GOLDEN = HERE / "golden.json"
 #: minimums say, so one run always ends well inside three minutes.
 DEADLINE_S = 120.0
 RSS_POLL_S = 0.05
+#: A run makes at least this many full repetitions and set-up probes
+#: whatever ``--seconds`` says, and one probe per ``REPS_PER_PROBE``
+#: repetitions: ``setup_s`` has the widest bound, so most of the time
+#: goes to the repetitions behind ``intervals_per_s``.
+MIN_REPS = 4
+MIN_SETUP_PROBES = 2
+REPS_PER_PROBE = 2
 
 
 def src_digest() -> str:
@@ -77,6 +88,13 @@ def git_sha():
     except OSError:
         return None
     return out.stdout.strip() if out.returncode == 0 else None
+
+
+def kill_group(pid: int) -> None:
+    try:
+        os.killpg(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 # -- peak memory of a process tree ------------------------------------------
@@ -154,7 +172,7 @@ class Bench:
         self.env["REPRO_CACHE_DIR"] = str(WORK / "cache" / "unused")
         self.env["TMPDIR"] = str(scratch)
         golden = json.loads(GOLDEN.read_text()) if GOLDEN.is_file() else {}
-        self.golden = golden.get(workload, {}).get(str(fleet_seed(seed)))
+        self.golden = golden.get(workload, {})
         self.count = 0
 
     def time_left(self) -> float:
@@ -165,14 +183,15 @@ class Bench:
             return self.warm_cache
         return Path(tempfile.mkdtemp(prefix="cold-cache-", dir=self.scratch))
 
-    def rep(self, mode: str, *extra: str, cache_dir=None, peaks=False):
+    def rep(self, mode: str, *extra: str, seed=None, cache_dir=None, peaks=False):
         """Run ``rep.py`` once; returns (result or None, wall_s, children_kb)."""
         self.count += 1
         out = self.scratch / f"rep-{self.count}.json"
         cache_dir = cache_dir or self.cache_dir()
         command = [
             sys.executable, str(HERE / "rep.py"), "--mode", mode,
-            "--workload", self.workload, "--seed", str(self.seed),
+            "--workload", self.workload,
+            "--seed", str(self.seed if seed is None else seed),
             "--cache-dir", str(cache_dir), "--out", str(out), *extra,
         ]
         start = time.perf_counter()
@@ -180,13 +199,17 @@ class Bench:
         watcher = DescendantPeaks(proc.pid) if peaks else None
         if watcher is not None:
             watcher.start()
+        # A blocking wait: Popen.wait(timeout=...) polls in steps of up
+        # to 50 ms, which would round every set-up probe to that step.
+        killer = threading.Timer(max(self.time_left() + 40.0, 5.0), kill_group, (proc.pid,))
+        killer.start()
         try:
-            code = proc.wait(timeout=max(self.time_left() + 40.0, 5.0))
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, 9)
-            proc.wait()
-            code = None
+            code = proc.wait()
+        finally:
+            killer.cancel()
         wall = time.perf_counter() - start
+        if code == -signal.SIGKILL:
+            code = None
         children_kb = watcher.stop() if watcher is not None else 0
         if self.spec["cache"] == "cold" and mode != "prepare":
             shutil.rmtree(cache_dir, ignore_errors=True)
@@ -195,11 +218,12 @@ class Bench:
             return None, wall, children_kb
         return json.loads(out.read_text()), wall, children_kb
 
-    def problems(self, result, intervals: int, full: bool) -> list:
-        """Output checks of one repetition (empty when it passed)."""
+    def problems(self, result, seed: int, intervals: int, full: bool) -> list:
+        """Output checks of one repetition run with ``seed`` (empty when it passed)."""
         if result is None:
             return ["crashed"]
         report = result["report"]
+        golden = self.golden.get(str(fleet_seed(seed)))
         found = []
         expected = report["devices"] * intervals
         ledger = report["scored"] + report["skipped"] + report["dropped"]
@@ -209,12 +233,12 @@ class Bench:
                 f"{ledger}, devices x intervals {expected}"
             )
         if full:
-            if self.golden is None:
+            if golden is None:
                 found.append("no golden digest recorded for this workload and seed")
             else:
-                if report["fleet_digest"] != self.golden["fleet_digest"]:
+                if report["fleet_digest"] != golden["fleet_digest"]:
                     found.append("fleet_digest differs from the golden digest")
-                if report["attacked_devices_alarmed"] < self.golden["attacked_devices_alarmed"]:
+                if report["attacked_devices_alarmed"] < golden["attacked_devices_alarmed"]:
                     found.append("fewer attacked devices alarmed than recorded")
         return found
 
@@ -223,8 +247,27 @@ def median(values):
     return statistics.median(values) if values else 0.0
 
 
+def next_kind(record, trace: bool) -> str:
+    """The kind of the next repetition."""
+    reps = record["reps"]
+    if trace:
+        kinds = ("plain", "traced", "pool")
+        return kinds[len(reps) % len(kinds)]
+    probes = len(record["setup_probes"])
+    return "probe" if probes * REPS_PER_PROBE <= len(reps) else "plain"
+
+
+def has_enough(record, trace: bool) -> bool:
+    reps = record["reps"]
+    if trace:
+        return {r["kind"] for r in reps} == {"plain", "traced", "pool"}
+    return (
+        len(reps) >= MIN_REPS and len(record["setup_probes"]) >= MIN_SETUP_PROBES
+    )
+
+
 def measure(bench: Bench, seconds: float, trace: bool):
-    """Alternate the two repetition kinds; returns the run's record."""
+    """Run repetitions until ``seconds`` have passed; returns the run's record."""
     intervals = bench.spec["config"]["intervals"]
     devices = bench.spec["config"]["devices"]
     warm = bench.spec["cache"] == "warm"
@@ -245,44 +288,40 @@ def measure(bench: Bench, seconds: float, trace: bool):
     t0 = time.monotonic()
     steal0, total0 = cpu_jiffies()
     first = True
+    started = collections.Counter()
     while bench.time_left() > 0:
-        reps = record["reps"]
-        if trace:
-            enough = sum(r["traced"] for r in reps) >= 1 and sum(not r["traced"] for r in reps) >= 1
-        else:
-            enough = (
-                len(reps) >= bench.spec["min_reps"]
-                and len(record["setup_probes"]) >= bench.spec["min_setup_probes"]
-            )
-        if enough and time.monotonic() - t0 >= seconds:
+        if has_enough(record, trace) and time.monotonic() - t0 >= seconds:
             break
-        probes = len(record["setup_probes"])
-        need_probe = probes < bench.spec["min_setup_probes"]
-        need_rep = len(reps) < bench.spec["min_reps"]
-        if not trace and (
-            need_probe and (probes <= len(reps) or not need_rep)
-            or enough and probes <= len(reps)
-        ):
-            result, wall, _ = bench.rep("setup")
-            found = bench.problems(result, 1, full=False)
+        kind = next_kind(record, trace)
+        seed = bench.seed + started[kind]
+        started[kind] += 1
+        if kind == "probe":
+            result, wall, _ = bench.rep("setup", seed=seed)
+            found = bench.problems(result, seed, 1, full=False)
             if not found:
                 record["setup_probes"].append(wall)
         else:
-            traced = trace and len(reps) % 2 == 1
             extra = ["--env"] if first else []
-            if traced:
-                extra += ["--trace-dir", str(trace_dir), "--trace-file", str(trace_file)]
-            result, wall, children_kb = bench.rep("run", *extra, peaks=not traced)
+            if kind != "plain":
+                extra += ["--trace-dir", str(trace_dir)]
+            if kind == "traced":
+                extra += ["--trace-file", str(trace_file)]
+            if kind == "pool":
+                extra += ["--shards", str(POOL_SHARDS)]
+            result, wall, children_kb = bench.rep(
+                "run", *extra, seed=seed, peaks=kind == "plain"
+            )
             first = False
-            found = bench.problems(result, intervals, full=True)
+            found = bench.problems(result, seed, intervals, full=True)
             record["attempted"] += devices * intervals
             if found:
                 record["failed"] += devices * intervals
             else:
                 report = result["report"]
                 record["failed"] += report["skipped"] + report["dropped"]
-                reps.append({
-                    "traced": traced,
+                record["reps"].append({
+                    "kind": kind,
+                    "seed": report["seed"],
                     "intervals_per_s": report["emitted"] / result["run_s"],
                     "peak_rss_mb": (result["rss_self_kb"] + children_kb) / 1024.0,
                     "import_s": result["import_s"],
@@ -309,16 +348,26 @@ def end_to_end(record) -> dict:
     }
 
 
+#: Per-layer metrics taken from the pool (two-shard) repetitions.
+POOL_METRICS = ("serve.shard_wall_s", "serve.shard_skew")
+
+
 def per_layer(record) -> dict:
-    traced = [r for r in record["reps"] if r["traced"]]
-    plain = [r for r in record["reps"] if not r["traced"]]
+    def of(kind):
+        return [r for r in record["reps"] if r["kind"] == kind]
+
+    def rate(kind):
+        return median([r["intervals_per_s"] for r in of(kind)])
+
+    traced, pool = of("traced"), of("pool")
     names = traced[0]["layers"].keys() if traced else ()
-    metrics = {name: median([r["layers"][name] for r in traced]) for name in names}
+    metrics = {
+        name: median([r["layers"][name] for r in (pool if name in POOL_METRICS else traced)])
+        for name in names
+    }
     metrics["process.import_s"] = median([r["import_s"] for r in record["reps"]])
-    untraced = median([r["intervals_per_s"] for r in plain])
-    metrics["trace.overhead_ratio"] = (
-        median([r["intervals_per_s"] for r in traced]) / untraced if untraced else 0.0
-    )
+    metrics["serve.two_shard_speedup"] = rate("pool") / rate("traced") if rate("traced") else 0.0
+    metrics["trace.overhead_ratio"] = rate("traced") / rate("plain") if rate("plain") else 0.0
     return metrics
 
 

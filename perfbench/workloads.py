@@ -11,7 +11,15 @@ from __future__ import annotations
 #: Benchmark seeds map onto this many fleet seeds (``seed % SEED_SLOTS``).
 #: Every slot has a recorded golden fleet digest in ``golden.json``, so
 #: the digest check fires on every run whatever seed the caller picks.
+#: The ``k``-th repetition of each kind (full repetition, set-up probe)
+#: of a run with seed ``s`` uses fleet seed ``(s + k) % SEED_SLOTS``, so
+#: every run spreads over the same fleets.
 SEED_SLOTS = 8
+
+#: Shard count of the pool repetitions of a traced run (``--trace 1``):
+#: the same workload through the process pool, for ``serve.shard_*``
+#: and ``serve.two_shard_speedup``.
+POOL_SHARDS = 2
 
 WORKLOADS = {
     # Plain `repro serve`: one shard, lockstep executor, MHM modality.
@@ -19,18 +27,17 @@ WORKLOADS = {
     "serve-steady": {
         "config": {"devices": 8, "shards": 1, "intervals": 150},
         "cache": "warm",
-        "min_reps": 3,
-        "min_setup_probes": 4,
     },
-    # Two shards on the async event bus with recalibration, context
-    # scoring and four attacked devices: the process pool, the bus,
-    # drift/recalibration, the alarm path and many small fused-score
-    # calls.  Carries the known 2-shard scaling defect (BLAS threads
-    # inherited by forked shard children).
+    # The async event bus with recalibration, context scoring and four
+    # attacked devices: the bus, drift/recalibration, the alarm path
+    # and many small fused-score calls.  Timed on one shard: at two
+    # shards the forked children's inherited BLAS threads make the
+    # throughput a scheduler lottery on two vCPUs (README.md, "The
+    # two-shard defect"), so the traced run measures the pool instead.
     "serve-sharded-attack": {
         "config": {
             "devices": 8,
-            "shards": 2,
+            "shards": 1,
             "intervals": 100,
             "modality": "ensemble",
             "attacked_devices": 4,
@@ -38,11 +45,6 @@ WORKLOADS = {
             "recalibrate": True,
         },
         "cache": "warm",
-        # Each repetition's throughput depends on how the shard
-        # children's BLAS threads happen to contend (spread of about
-        # +-25% between repetitions), so this workload runs more of them.
-        "min_reps": 4,
-        "min_setup_probes": 4,
     },
     # An empty artifact cache per run: registry load is detector
     # training (simulation of training boots, PCA + GMM + context fits,
@@ -56,11 +58,6 @@ WORKLOADS = {
             "modality": "ensemble",
         },
         "cache": "cold",
-        # Training uses BLAS threads and swings with host load, so the
-        # throughput takes four repetitions; every set-up probe trains
-        # from scratch too (about 5 s), so only two of those.
-        "min_reps": 4,
-        "min_setup_probes": 2,
     },
 }
 
