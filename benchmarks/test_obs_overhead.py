@@ -7,7 +7,9 @@ the hot snoop datapath pays a handful of bound-method calls per
 number: driving one million snooped accesses through
 ``Memometer.observe_burst`` must cost at most 5% more than a
 hand-inlined copy of the same datapath with every instrument call
-deleted.
+deleted.  The simulator's cell-space path,
+``Memometer.observe_footprint``, is held to the same budget over a
+stream of kernel-service invocations.
 
 Run directly (no session-scoped training involved)::
 
@@ -20,8 +22,11 @@ import time
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.hw.memometer import COUNTER_MAX, ControlRegisters, Memometer
+from repro.sim.engine import Simulator
+from repro.sim.kernel.kernel import Kernel
+from repro.sim.kernel.layout import KERNEL_TEXT_BASE, KERNEL_TEXT_SIZE
 from repro.sim.trace import AccessBurst
 
 BURSTS = 1_000
@@ -35,6 +40,16 @@ REGISTERS = ControlRegisters(
     granularity=2048,
     interval_ns=10_000_000,
 )
+
+
+#: The paper's monitored region: the kernel text the footprints live in.
+KERNEL_REGISTERS = ControlRegisters(
+    base_address=KERNEL_TEXT_BASE,
+    region_size=KERNEL_TEXT_SIZE,
+    granularity=2048,
+    interval_ns=10_000_000,
+)
+INVOCATIONS = 20_000
 
 
 def _make_stream(seed: int = 0) -> list[AccessBurst]:
@@ -51,11 +66,12 @@ def _make_stream(seed: int = 0) -> list[AccessBurst]:
 
 
 class RawMemometer:
-    """``Memometer.observe_burst`` with every instrument call deleted.
+    """``Memometer``'s batched datapaths with every instrument call deleted.
 
-    Kept byte-for-byte in step with the real datapath (same filtering,
-    same bincount, same saturating clamp) so the comparison isolates
-    exactly the cost of the no-op instrument calls.
+    Kept in step with the real datapaths (same whole-burst miss check,
+    same ``kernels.count_cells`` dispatch, same precompiled footprint
+    counts, same saturating clamp) so the comparison isolates exactly
+    the cost of the no-op instrument calls.
     """
 
     def __init__(self, registers: ControlRegisters):
@@ -71,23 +87,66 @@ class RawMemometer:
     def observe_burst(self, burst: AccessBurst) -> None:
         total = int(burst.weights.sum())
         self.snooped_accesses += total
-        indices, in_region = self.spec.cell_indices(burst.addresses)
-        kept = burst.weights[in_region]
-        if not kept.size:
+        addresses = burst.addresses
+        base = self.registers.base_address
+        if (
+            not addresses.size
+            or addresses.max() < base
+            or addresses.min() >= base + self.registers.region_size
+        ):
             return
-        increments = np.bincount(
-            indices, weights=kept, minlength=self.spec.num_cells
-        ).astype(np.uint64)
+        increments, accepted = kernels.count_cells(
+            addresses,
+            burst.weights,
+            base_address=base,
+            region_size=self.registers.region_size,
+            shift=self.spec.shift,
+            num_cells=self.spec.num_cells,
+        )
+        if accepted == 0:
+            return
         buf = self._buffers[self._active]
-        summed = buf + increments
+        summed = buf + increments.astype(np.uint64)
         np.minimum(summed, COUNTER_MAX, out=buf, casting="unsafe")
-        self.accepted_accesses += int(kept.sum())
+        self.accepted_accesses += accepted
+
+    def observe_footprint(self, footprint, iters) -> None:
+        binned = footprint.cell_counts(
+            self.registers.base_address, self.registers.region_size, self.spec.shift
+        )
+        totals = iters @ binned.weights
+        accepted = int(totals[1])
+        self.snooped_accesses += int(totals[0])
+        self.accepted_accesses += accepted
+        if accepted:
+            buf = self._buffers[self._active]
+            cells = binned.cells
+            summed = buf[cells] + totals[2:].astype(np.uint64)
+            buf[cells] = np.minimum(summed, COUNTER_MAX, out=summed)
+
+
+def _make_invocations(seed: int = 0) -> list:
+    """``(footprint, iters)`` pairs drawn from the default kernel's services."""
+    rng = np.random.default_rng(seed)
+    kernel = Kernel(Simulator(), rng)
+    footprints = [kernel.services.get(n).footprint for n in kernel.services.names()]
+    picks = rng.integers(0, len(footprints), size=INVOCATIONS)
+    return [
+        (footprints[i], footprints[i].sample_iterations(rng)) for i in picks
+    ]
 
 
 def _time_once(meter, stream) -> int:
     start = time.perf_counter_ns()
     for burst in stream:
         meter.observe_burst(burst)
+    return time.perf_counter_ns() - start
+
+
+def _time_footprints_once(meter, invocations) -> int:
+    start = time.perf_counter_ns()
+    for footprint, iters in invocations:
+        meter.observe_footprint(footprint, iters)
     return time.perf_counter_ns() - start
 
 
@@ -106,6 +165,20 @@ def _paired_rounds(stream):
     return rounds
 
 
+def _paired_footprint_rounds(invocations):
+    rounds = []
+    for _ in range(REPEATS):
+        baseline = _time_footprints_once(RawMemometer(KERNEL_REGISTERS), invocations)
+        instrumented = _time_footprints_once(Memometer(KERNEL_REGISTERS), invocations)
+        rounds.append((baseline, instrumented))
+    return rounds
+
+
+def _median_overhead(rounds) -> tuple[float, list]:
+    ratios = sorted(instr / base for base, instr in rounds)
+    return ratios[len(ratios) // 2] - 1.0, ratios
+
+
 def test_obs_overhead(report):
     obs.disable()  # the claim under test is the *disabled* path
     stream = _make_stream()
@@ -113,8 +186,7 @@ def test_obs_overhead(report):
     _paired_rounds(stream[:50])  # warm-up both sides
     rounds = _paired_rounds(stream)
 
-    ratios = sorted(instr / base for base, instr in rounds)
-    overhead = ratios[len(ratios) // 2] - 1.0  # median paired ratio
+    overhead, ratios = _median_overhead(rounds)
     baseline_ns = min(base for base, _ in rounds)
     accesses = BURSTS * ACCESSES_PER_BURST
     report.add(
@@ -137,6 +209,36 @@ def test_obs_overhead(report):
     )
 
 
+def test_obs_overhead_footprint_path(report):
+    obs.disable()
+    invocations = _make_invocations()
+
+    _paired_footprint_rounds(invocations[:500])  # warm-up (and bins) both sides
+    rounds = _paired_footprint_rounds(invocations)
+
+    overhead, ratios = _median_overhead(rounds)
+    baseline_ns = min(base for base, _ in rounds)
+    report.add(
+        "Disabled-observability overhead on Memometer.observe_footprint",
+        f"(median of {REPEATS} paired rounds, {INVOCATIONS} service invocations each)",
+        "",
+    )
+    report.table(
+        ["quantity", "value"],
+        [
+            ["raw datapath (best)", f"{baseline_ns / 1e6:.1f} ms"],
+            ["per invocation", f"{baseline_ns / INVOCATIONS / 1e3:.2f} us"],
+            ["median paired overhead", f"{overhead:+.2%}"],
+            ["spread", f"{ratios[0] - 1.0:+.2%} .. {ratios[-1] - 1.0:+.2%}"],
+            ["budget", f"{MAX_OVERHEAD:.0%}"],
+        ],
+    )
+    assert overhead < MAX_OVERHEAD, (
+        f"no-op instruments cost {overhead:.2%} on observe_footprint "
+        f"(budget {MAX_OVERHEAD:.0%})"
+    )
+
+
 def test_raw_and_instrumented_agree_bit_for_bit():
     """The shadow datapath must stay in step with the real one."""
     obs.disable()
@@ -145,6 +247,17 @@ def test_raw_and_instrumented_agree_bit_for_bit():
     for burst in stream:
         raw.observe_burst(burst)
         real.observe_burst(burst)
+    np.testing.assert_array_equal(raw._buffers[0], real.active_counts())
+    assert raw.snooped_accesses == real.snooped_accesses
+    assert raw.accepted_accesses == real.accepted_accesses
+
+
+def test_raw_and_instrumented_footprint_paths_agree():
+    obs.disable()
+    raw, real = RawMemometer(KERNEL_REGISTERS), Memometer(KERNEL_REGISTERS)
+    for footprint, iters in _make_invocations(seed=7)[:500]:
+        raw.observe_footprint(footprint, iters)
+        real.observe_footprint(footprint, iters)
     np.testing.assert_array_equal(raw._buffers[0], real.active_counts())
     assert raw.snooped_accesses == real.snooped_accesses
     assert raw.accepted_accesses == real.accepted_accesses

@@ -19,18 +19,30 @@ This model is bit-exact at the level that matters:
 * monitoring is uninterrupted across the swap: accesses observed while
   the secure core analyses buffer *i* land in buffer *1-i*.
 
-A scalar :meth:`Memometer.observe` reproduces the per-address datapath;
-:meth:`Memometer.observe_burst` is the fast path used by the simulator.
-The burst path routes through :func:`repro.kernels.count_cells`, so the
-``REPRO_KERNELS`` switch selects between the vectorised histogram
-(``np.bincount`` over the shifted offsets) and the scalar reference
-oracle; the differential suite holds the two bit-identical.
+A scalar :meth:`Memometer.observe` reproduces the per-address datapath.
+Two batched paths sit on top of it:
+
+* :meth:`Memometer.observe_footprint` is the simulator's cell-space
+  path: a kernel-service invocation arrives as its per-step iteration
+  counts, and the increments are ``iters @ C`` over the footprint's
+  precompiled steps x cells count matrix
+  (:meth:`~repro.sim.kernel.footprint.CompiledFootprint.cell_counts`);
+* :meth:`Memometer.observe_burst` takes explicit addresses and routes
+  through :func:`repro.kernels.count_cells`, so the ``REPRO_KERNELS``
+  switch selects between the vectorised histogram (``np.bincount``
+  over the shifted offsets) and the scalar reference oracle.  The
+  simulator uses it for user-space slices and whenever an
+  address-consuming probe (a cache model, a trace recorder) is attached.
+
+Both batched paths leave the buffers, the snoop statistics and every
+``memometer.*`` counter exactly equal for the same fetches; the
+differential suite holds them (and both kernels backends) to that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -38,6 +50,9 @@ from .. import kernels, obs
 from ..core.mhm import MemoryHeatMap
 from ..core.spec import HeatMapSpec
 from ..sim.trace import AccessBurst
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim.kernel.footprint import CompiledFootprint
 
 __all__ = [
     "MHM_MEMORY_BYTES",
@@ -131,8 +146,8 @@ class Memometer:
         self.snooped_accesses = 0
         self.accepted_accesses = 0
         # Observability instruments (no-op singletons when disabled;
-        # the hot path pays one bound-method call per burst and never
-        # branches).  Cached here, so enable repro.obs *before*
+        # the address path pays one bound-method call per burst and
+        # never branches).  Cached here, so enable repro.obs *before*
         # constructing the Memometer.
         registry = obs.metrics()
         self._metric_snooped = registry.counter("memometer.snooped_accesses")
@@ -141,6 +156,10 @@ class Memometer:
         self._metric_saturated = registry.counter("memometer.saturated")
         self._metric_bursts = registry.counter("memometer.bursts")
         self._metric_swaps = registry.counter("memometer.swaps")
+        # observe_footprint runs once per kernel-service invocation and
+        # is only a few microseconds long, so it checks this flag once
+        # instead of making five no-op instrument calls.
+        self._counting = registry.enabled
         self._tracer = obs.tracer()
 
     # ------------------------------------------------------------------
@@ -176,8 +195,19 @@ class Memometer:
         self.snooped_accesses += total
         self._metric_snooped.inc(total)
         self._metric_bursts.inc()
+        addresses = burst.addresses
+        base = self.registers.base_address
+        if (
+            not addresses.size
+            or addresses.max() < base
+            or addresses.min() >= base + self.registers.region_size
+        ):
+            # The whole burst misses the region (user slices, module
+            # space): nothing to count.
+            self._metric_filtered.inc(total)
+            return
         increments, accepted = kernels.count_cells(
-            burst.addresses,
+            addresses,
             burst.weights,
             base_address=self.registers.base_address,
             region_size=self.registers.region_size,
@@ -197,6 +227,40 @@ class Memometer:
         self.accepted_accesses += accepted
         self._metric_accepted.inc(accepted)
         self._metric_filtered.inc(total - accepted)
+
+    def observe_footprint(
+        self, footprint: "CompiledFootprint", iters: np.ndarray
+    ) -> None:
+        """Cell-space datapath: one invocation of a compiled footprint.
+
+        ``iters`` holds the invocation's per-step iteration counts.  The
+        result is exactly that of :meth:`observe_burst` on the expanded
+        burst ``(footprint.addresses, np.repeat(iters,
+        footprint.step_lengths))``, saturation included, but the cell
+        arithmetic was done once when the footprint was first binned.
+        """
+        binned = footprint.cell_counts(
+            self.registers.base_address, self.registers.region_size, self.spec.shift
+        )
+        totals = iters @ binned.weights  # [snooped, accepted, per-cell...]
+        total = int(totals[0])
+        accepted = int(totals[1])
+        self.snooped_accesses += total
+        self.accepted_accesses += accepted
+        saturated = 0
+        if accepted:
+            buf = self._buffers[self._active]
+            cells = binned.cells
+            summed = buf[cells] + totals[2:].astype(np.uint64)
+            if self._counting:
+                saturated = int(np.count_nonzero(summed > COUNTER_MAX))
+            buf[cells] = np.minimum(summed, COUNTER_MAX, out=summed)
+        if self._counting:
+            self._metric_snooped.inc(total)
+            self._metric_bursts.inc()
+            self._metric_accepted.inc(accepted)
+            self._metric_filtered.inc(total - accepted)
+            self._metric_saturated.inc(saturated)
 
     # ------------------------------------------------------------------
     # Double buffering

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -69,12 +70,7 @@ def reconstruct_batch(
 # GMM log densities
 # ----------------------------------------------------------------------
 def _solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        from scipy.linalg import solve_triangular
-
-        return solve_triangular(lower, rhs, lower=True, check_finite=False)
-    except ImportError:  # pragma: no cover - scipy is a dependency
-        return np.linalg.solve(lower, rhs)
+    return solve_triangular(lower, rhs, lower=True, check_finite=False)
 
 
 def _mvn_logpdf(

@@ -9,6 +9,13 @@ and compiles them against a :class:`~repro.sim.kernel.layout.KernelLayout`
 into address/weight arrays that can be emitted as
 :class:`~repro.sim.trace.AccessBurst` records.
 
+A footprint's addresses are fixed and its weight is constant within a
+step, so against a given Memometer region the fetches of one invocation
+reduce to ``iters @ C``: per-step iteration counts times a precompiled
+steps x cells count matrix (:meth:`CompiledFootprint.cell_counts`).
+That is the paper's ``idx = (addr - base) >> log2 delta`` done once per
+footprint instead of once per fetch.
+
 Per-invocation variation (loop trip counts, data-dependent paths) is
 modelled by jittering each step's iteration count, which is exactly the
 "small variations from one or more of these patterns" the paper's GMM
@@ -24,7 +31,13 @@ import numpy as np
 
 from .layout import KernelLayout
 
-__all__ = ["FETCH_STRIDE", "FootprintStep", "CompiledFootprint", "FootprintCompiler"]
+__all__ = [
+    "FETCH_STRIDE",
+    "FootprintStep",
+    "CellCounts",
+    "CompiledFootprint",
+    "FootprintCompiler",
+]
 
 #: Bytes between sampled fetch addresses inside a function body.  The
 #: MHM granularity is >= 512 B in every experiment, so a 16-byte sample
@@ -72,13 +85,35 @@ class FootprintStep:
             raise ValueError("explicit step size must be positive")
 
 
+@dataclass(frozen=True)
+class CellCounts:
+    """A footprint's fetches binned into one Memometer region's cells.
+
+    Attributes
+    ----------
+    cells:
+        Sorted, unique indices of the cells the footprint touches.
+    weights:
+        ``(num_steps, 2 + len(cells))`` int64 matrix.  Row *s* holds
+        step *s*'s number of fetch addresses, then how many of them
+        fall inside the region, then how many fall into each of
+        ``cells``.  One invocation's ``iters @ weights`` is therefore
+        ``[snooped, accepted, per-cell increments...]``.
+    """
+
+    cells: np.ndarray
+    weights: np.ndarray
+
+
 class CompiledFootprint:
     """A footprint resolved to concrete fetch addresses.
 
-    ``sample(rng)`` draws one invocation: the shared address vector plus
-    a weight vector built from per-step jittered iteration counts.
-    ``mean()`` returns the deterministic expected burst, used by tests
-    and by analytical checks.
+    ``sample_iterations(rng)`` draws one invocation's per-step jittered
+    iteration counts; ``sample(rng)`` expands the same draw into the
+    shared address vector plus a per-address weight vector.  ``mean()``
+    returns the deterministic expected burst, used by tests and by
+    analytical checks.  The footprint is immutable, so its per-region
+    :meth:`cell_counts` are computed once and cached.
     """
 
     def __init__(
@@ -99,6 +134,7 @@ class CompiledFootprint:
             len(self.step_lengths) == len(self.mean_iterations) == len(self.jitters)
         ):
             raise ValueError("per-step arrays must have equal length")
+        self._cell_counts: dict[tuple[int, int, int], CellCounts] = {}
 
     @property
     def num_steps(self) -> int:
@@ -112,18 +148,52 @@ class CompiledFootprint:
     def mean_total_accesses(self) -> float:
         return float((self.step_lengths * self.mean_iterations).sum())
 
+    def sample_iterations(
+        self, rng: np.random.Generator, jitter_scale: float = 1.0
+    ) -> np.ndarray:
+        """One invocation's per-step iteration counts (int64, >= 1).
+
+        ``jitter_scale`` multiplies every step's jitter; an RTOS-like
+        platform (deterministic loop bounds) uses a scale < 1.  One
+        ``rng.normal`` draw per call, whichever path consumes it.
+        """
+        noise = rng.normal(loc=1.0, scale=self.jitters * jitter_scale)
+        return np.maximum(1, np.rint(self.mean_iterations * noise)).astype(np.int64)
+
     def sample(
         self, rng: np.random.Generator, jitter_scale: float = 1.0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One invocation: ``(addresses, weights)`` with jittered counts.
+        """One invocation: ``(addresses, weights)`` with jittered counts."""
+        iters = self.sample_iterations(rng, jitter_scale)
+        return self.addresses, np.repeat(iters, self.step_lengths)
 
-        ``jitter_scale`` multiplies every step's jitter; an RTOS-like
-        platform (deterministic loop bounds) uses a scale < 1.
+    def cell_counts(
+        self, base_address: int, region_size: int, shift: int
+    ) -> CellCounts:
+        """The footprint binned into the cells of one Memometer region.
+
+        Cached per ``(base_address, region_size, shift)``.  For any
+        iteration vector ``iters``, the per-cell part of ``iters @
+        weights`` scattered into ``cells`` equals ``count_cells`` over
+        ``sample``'s expanded burst, exactly, in int64.
         """
-        noise = rng.normal(loc=1.0, scale=self.jitters * jitter_scale)
-        iters = np.maximum(1, np.rint(self.mean_iterations * noise)).astype(np.int64)
-        weights = np.repeat(iters, self.step_lengths)
-        return self.addresses, weights
+        key = (base_address, region_size, shift)
+        cached = self._cell_counts.get(key)
+        if cached is None:
+            offsets = self.addresses - base_address
+            inside = (offsets >= 0) & (offsets < region_size)
+            steps = np.repeat(
+                np.arange(self.num_steps, dtype=np.int64), self.step_lengths
+            )[inside]
+            cells, columns = np.unique(offsets[inside] >> shift, return_inverse=True)
+            weights = np.zeros((self.num_steps, 2 + len(cells)), dtype=np.int64)
+            weights[:, 0] = self.step_lengths
+            weights[:, 1] = np.bincount(steps, minlength=self.num_steps)
+            np.add.at(weights, (steps, 2 + columns), 1)
+            cells.setflags(write=False)
+            weights.setflags(write=False)
+            cached = self._cell_counts[key] = CellCounts(cells=cells, weights=weights)
+        return cached
 
     def mean(self) -> tuple[np.ndarray, np.ndarray]:
         """The expected (jitter-free) invocation."""

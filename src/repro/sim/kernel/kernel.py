@@ -5,6 +5,16 @@ syscall table, ASLR state, module loader — and is the single point
 through which the simulation emits memory-access bursts.  Everything
 the Memometer ever observes flows through :meth:`Kernel._emit`.
 
+A service invocation reaches the probes by one of two paths, chosen
+when probes are attached or detached, never per burst.  When every
+attached probe implements ``observe_footprint`` (the pre-L1 Memometer,
+or several Memometers for multi-region monitoring) the kernel hands
+over the compiled footprint and its sampled per-step iteration counts,
+and the Memometer counts cells directly.  Otherwise (cache models,
+trace recorders) it expands the invocation into an
+:class:`~repro.sim.trace.AccessBurst` of fetch addresses.  Both paths
+make the same random draw, so the simulation is the same either way.
+
 Syscall dispatch honours hijacked table entries (Scenario 3): the
 module-space wrapper's fetches are emitted (and filtered out by the
 Memometer, since module space is outside the monitored region), the
@@ -22,7 +32,7 @@ from ..engine import Simulator
 from ..trace import AccessBurst, BurstFanout, TraceProbe
 from .aslr import RANDOMIZE_VA_SPACE, AslrState
 from .footprint import FootprintCompiler
-from .layout import KernelLayout
+from .layout import KernelLayout, default_layout
 from .modules import ModuleLoader
 from .syscalls import KernelService, ServiceRegistry, SyscallTable, build_default_services
 
@@ -41,7 +51,8 @@ class Kernel:
     layout, registry, table:
         Optional pre-built pieces; defaults build the synthetic
         Linux-3.4-like kernel from :mod:`repro.sim.kernel.layout` and
-        :mod:`repro.sim.kernel.syscalls`.
+        :mod:`repro.sim.kernel.syscalls`.  The default layout is the
+        process-wide :func:`~repro.sim.kernel.layout.default_layout`.
     """
 
     def __init__(
@@ -60,7 +71,7 @@ class Kernel:
         #: Scales per-invocation footprint jitter; an RTOS-like kernel
         #: (deterministic code paths) uses a value < 1 (paper, Sec. 7).
         self.jitter_scale = jitter_scale
-        self.layout = layout or KernelLayout()
+        self.layout = layout or default_layout()
         if registry is None or table is None:
             registry, table = build_default_services(self.layout)
         self.services = registry
@@ -69,6 +80,9 @@ class Kernel:
         self.aslr = AslrState()
         self.modules = ModuleLoader(self)
         self._fanout = BurstFanout()
+        # ``observe_footprint`` of every attached probe while all of
+        # them take the cell-space path; None while any needs addresses.
+        self._footprint_sinks: Optional[tuple] = ()
         #: Invocation counts by service name (diagnostics and tests).
         self.invocation_counts: dict[str, int] = {}
 
@@ -82,26 +96,45 @@ class Kernel:
     def attach_probe(self, probe: TraceProbe) -> None:
         """Attach a hardware probe (Memometer snoop port, cache, ...)."""
         self._fanout.attach(probe)
+        self._choose_path()
 
     def detach_probe(self, probe: TraceProbe) -> None:
         self._fanout.detach(probe)
+        self._choose_path()
+
+    def _choose_path(self) -> None:
+        sinks = [getattr(p, "observe_footprint", None) for p in self._fanout.probes]
+        self._footprint_sinks = (
+            None if any(s is None for s in sinks) else tuple(sinks)
+        )
+
+    @property
+    def uses_cell_path(self) -> bool:
+        """Whether service invocations currently skip address expansion."""
+        return self._footprint_sinks is not None
 
     def _emit(
         self, service: KernelService, kind: Optional[str] = None, core: int = 0
     ) -> None:
-        addresses, weights = service.sample_burst(
-            self.rng, jitter_scale=self.jitter_scale
-        )
-        self._fanout.observe_burst(
-            AccessBurst(
-                time_ns=self.now,
-                addresses=addresses,
-                weights=weights,
-                kind=kind or service.name,
-                core=core,
-            )
-        )
         name = kind or service.name
+        if self._footprint_sinks is not None:
+            footprint = service.footprint
+            iters = footprint.sample_iterations(self.rng, self.jitter_scale)
+            for observe in self._footprint_sinks:
+                observe(footprint, iters)
+        else:
+            addresses, weights = service.sample_burst(
+                self.rng, jitter_scale=self.jitter_scale
+            )
+            self._fanout.observe_burst(
+                AccessBurst(
+                    time_ns=self.now,
+                    addresses=addresses,
+                    weights=weights,
+                    kind=name,
+                    core=core,
+                )
+            )
         self.invocation_counts[name] = self.invocation_counts.get(name, 0) + 1
 
     def emit_user_burst(

@@ -29,6 +29,7 @@ hijacking handler itself is invisible to the MHM.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -45,6 +46,7 @@ __all__ = [
     "USER_SPACE_BASE",
     "KernelFunction",
     "KernelLayout",
+    "default_layout",
     "default_heatmap_spec",
 ]
 
@@ -256,7 +258,8 @@ class KernelLayout:
     subsystem by subsystem, and filler sizes are drawn from a fixed-seed
     log-normal, then the final function is stretched so the image fills
     the ``.text`` segment *exactly* (total size 3,013,284 bytes, as in
-    Figure 1).
+    Figure 1).  A built layout is never modified, so one instance can
+    be shared by every kernel of a process (:func:`default_layout`).
     """
 
     def __init__(
@@ -268,7 +271,7 @@ class KernelLayout:
             raise ValueError("text_size must be positive")
         self.base_address = base_address
         self.text_size = text_size
-        self.functions: list[KernelFunction] = []
+        self._functions: tuple[KernelFunction, ...] = ()
         self._by_name: dict[str, KernelFunction] = {}
         self._by_subsystem: dict[str, list[KernelFunction]] = {}
         self._starts: list[int] = []
@@ -325,15 +328,17 @@ class KernelLayout:
             raise RuntimeError("layout fill failed to converge")
         plan[-1] = (last_name, last_size + delta, last_sub)
 
+        functions = []
         for name, size, subsystem in plan:
             fn = KernelFunction(name=name, address=cursor, size=size, subsystem=subsystem)
-            self.functions.append(fn)
+            functions.append(fn)
             if name in self._by_name:
                 raise RuntimeError(f"duplicate kernel symbol {name!r}")
             self._by_name[name] = fn
             self._by_subsystem.setdefault(subsystem, []).append(fn)
             self._starts.append(cursor)
             cursor += size
+        self._functions = tuple(functions)
 
         if cursor != self.end_address:
             raise RuntimeError(
@@ -344,6 +349,11 @@ class KernelLayout:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
+    @property
+    def functions(self) -> tuple[KernelFunction, ...]:
+        """Every function of the image, in address order (read-only)."""
+        return self._functions
+
     @property
     def end_address(self) -> int:
         return self.base_address + self.text_size
@@ -360,7 +370,7 @@ class KernelLayout:
         if not self.base_address <= address < self.end_address:
             return None
         i = bisect.bisect_right(self._starts, address) - 1
-        fn = self.functions[i]
+        fn = self._functions[i]
         return fn if fn.contains(address) else None
 
     def functions_in(self, subsystem: str) -> list[KernelFunction]:
@@ -378,7 +388,7 @@ class KernelLayout:
         first = bisect.bisect_right(self._starts, start) - 1
         first = max(first, 0)
         result = []
-        for fn in self.functions[first:]:
+        for fn in self._functions[first:]:
             if fn.address >= end:
                 break
             if fn.end_address > start:
@@ -414,6 +424,17 @@ class KernelLayout:
             f"KernelLayout(base={self.base_address:#x}, size={self.text_size}, "
             f"functions={len(self.functions)})"
         )
+
+
+@functools.lru_cache(maxsize=None)
+def default_layout() -> KernelLayout:
+    """The default kernel image, built once per process.
+
+    Every :class:`~repro.sim.kernel.kernel.Kernel` built without an
+    explicit layout shares this instance: building one takes tens of
+    milliseconds, and a fleet simulates one kernel per device.
+    """
+    return KernelLayout()
 
 
 def default_heatmap_spec(granularity: int = 2048) -> HeatMapSpec:

@@ -10,7 +10,11 @@ keeps the simulation tractable.
 
 Probes (:class:`TraceProbe`) subscribe to the stream; the Memometer's
 snoop port, the cache models and the test recorder all implement the
-same one-method interface.
+same one-method interface.  A probe that only counts cells (the
+Memometer) may also implement ``observe_footprint(footprint, iters)``;
+while every attached probe does, the simulated kernel skips building
+address bursts for its service invocations (see
+:mod:`repro.sim.kernel.kernel`).
 """
 
 from __future__ import annotations
@@ -226,6 +230,11 @@ class BurstFanout:
 
     def detach(self, probe: TraceProbe) -> None:
         self._probes.remove(probe)
+
+    @property
+    def probes(self) -> tuple:
+        """The attached probes, in attach order."""
+        return tuple(self._probes)
 
     def observe_burst(self, burst: AccessBurst) -> None:
         for probe in self._probes:

@@ -144,6 +144,45 @@ class TestVectorDatapath:
         assert scalar.accepted_accesses == vector.accepted_accesses
 
 
+class TestWholeBurstMiss:
+    """A burst wholly outside the region never reaches the cell kernel."""
+
+    @pytest.fixture()
+    def no_count_cells(self, monkeypatch):
+        from repro import kernels
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("count_cells dispatched for a whole-burst miss")
+
+        monkeypatch.setattr(kernels, "count_cells", forbidden)
+
+    @pytest.mark.parametrize(
+        "addresses",
+        [[0x0, 0x0FFF], [0x1800, 0xBF000000], [0x0FFF]],
+        ids=["below", "above", "last-byte-below"],
+    )
+    def test_miss_counted_as_filtered(self, no_count_cells, addresses):
+        from repro import obs
+
+        with obs.observed() as (registry, _):
+            memometer = Memometer(make_registers())
+            memometer.observe_burst(make_burst(addresses, [3] * len(addresses)))
+            total = 3 * len(addresses)
+            assert memometer.snooped_accesses == total
+            assert memometer.accepted_accesses == 0
+            assert memometer.active_counts().sum() == 0
+            assert registry.counter("memometer.snooped_accesses").value == total
+            assert registry.counter("memometer.filtered_accesses").value == total
+            assert registry.counter("memometer.accepted_accesses").value == 0
+            assert registry.counter("memometer.bursts").value == 1
+
+    def test_straddling_burst_still_counted(self):
+        memometer = Memometer(make_registers())
+        memometer.observe_burst(make_burst([0x0FFF, 0x1800, 0x17FF], [1, 1, 4]))
+        assert memometer.accepted_accesses == 4
+        assert memometer.active_counts()[7] == 4
+
+
 class TestRegionBoundaries:
     """Regression guard on the Section 3.1 filter arithmetic.
 
