@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-fast test-faults test-contexts test-bus bench bench-smoke bench-kernels check report examples clean
+.PHONY: install test test-fast test-faults test-contexts test-bus bench bench-smoke bench-golden bench-kernels check report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -71,6 +71,14 @@ bench:
 # Memometer burst datapath.  Seconds, not minutes — safe for every push.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py -q -s
+
+# Golden digest gate: one untimed run of every serve-level benchmark
+# workload per fleet seed slot, each fleet digest and attacked-devices
+# count compared with perfbench/golden.json, plus the 1- vs 2-shard
+# invariance check.  A performance change must pass it with the golden
+# file untouched.  ~80-95 s on 2 vCPUs.
+bench-golden:
+	$(PYTHON) perfbench/golden.py --check
 
 # Kernel speedup gate: times every repro.kernels hot path under both
 # backends (the fused fleet path and the fleet-throughput payload

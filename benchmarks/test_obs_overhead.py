@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from repro import kernels, obs
 from repro.hw.memometer import COUNTER_MAX, ControlRegisters, Memometer
@@ -69,17 +70,20 @@ class RawMemometer:
     """``Memometer``'s batched datapaths with every instrument call deleted.
 
     Kept in step with the real datapaths (same whole-burst miss check,
-    same ``kernels.count_cells`` dispatch, same precompiled footprint
-    counts, same saturating clamp) so the comparison isolates exactly
-    the cost of the no-op instrument calls.
+    same ``kernels.count_cells`` dispatch, same int64 memories, same
+    per-meter cache of precompiled footprint counts, same ``_filled``
+    bound gating the saturating clamp) so the comparison isolates
+    exactly the cost of the no-op instrument calls.
     """
 
     def __init__(self, registers: ControlRegisters):
         self.registers = registers
         self.spec = registers.spec
         self._buffers = [
-            np.zeros(self.spec.num_cells, dtype=np.uint64) for _ in range(2)
+            np.zeros(self.spec.num_cells, dtype=np.int64) for _ in range(2)
         ]
+        self._filled = [0, 0]
+        self._cell_counts = {}
         self._active = 0
         self.snooped_accesses = 0
         self.accepted_accesses = 0
@@ -106,23 +110,32 @@ class RawMemometer:
         if accepted == 0:
             return
         buf = self._buffers[self._active]
-        summed = buf + increments.astype(np.uint64)
-        np.minimum(summed, COUNTER_MAX, out=buf, casting="unsafe")
+        self._filled[self._active] += accepted
+        summed = buf + increments
+        np.minimum(summed, COUNTER_MAX, out=buf)
         self.accepted_accesses += accepted
 
     def observe_footprint(self, footprint, iters) -> None:
-        binned = footprint.cell_counts(
-            self.registers.base_address, self.registers.region_size, self.spec.shift
-        )
+        binned = self._cell_counts.get(footprint)
+        if binned is None:
+            binned = self._cell_counts[footprint] = footprint.cell_counts(
+                self.registers.base_address, self.registers.region_size, self.spec.shift
+            )
         totals = iters @ binned.weights
         accepted = int(totals[1])
         self.snooped_accesses += int(totals[0])
         self.accepted_accesses += accepted
         if accepted:
-            buf = self._buffers[self._active]
+            active = self._active
+            buf = self._buffers[active]
             cells = binned.cells
-            summed = buf[cells] + totals[2:].astype(np.uint64)
-            buf[cells] = np.minimum(summed, COUNTER_MAX, out=summed)
+            filled = self._filled[active] + accepted
+            self._filled[active] = filled
+            if filled <= COUNTER_MAX:
+                buf[cells] += totals[2:]
+            else:
+                summed = buf[cells] + totals[2:]
+                buf[cells] = np.minimum(summed, COUNTER_MAX, out=summed)
 
 
 def _make_invocations(seed: int = 0) -> list:
@@ -250,14 +263,28 @@ def test_raw_and_instrumented_agree_bit_for_bit():
     np.testing.assert_array_equal(raw._buffers[0], real.active_counts())
     assert raw.snooped_accesses == real.snooped_accesses
     assert raw.accepted_accesses == real.accepted_accesses
+    assert raw._filled == real._filled
 
 
-def test_raw_and_instrumented_footprint_paths_agree():
+@pytest.mark.parametrize("headroom", [None, 50_000])
+def test_raw_and_instrumented_footprint_paths_agree(headroom):
+    """With ``headroom`` set, every cell starts that far below the
+    counter limit, so both meters run past their ``_filled`` bound and
+    into the saturating clamp."""
     obs.disable()
     raw, real = RawMemometer(KERNEL_REGISTERS), Memometer(KERNEL_REGISTERS)
+    if headroom is not None:
+        spec = KERNEL_REGISTERS.spec
+        addresses = spec.base_address + np.arange(spec.num_cells) * spec.granularity
+        weights = np.full(spec.num_cells, COUNTER_MAX - headroom, dtype=np.int64)
+        for meter in (raw, real):
+            meter.observe_burst(AccessBurst(0, addresses, weights))
     for footprint, iters in _make_invocations(seed=7)[:500]:
         raw.observe_footprint(footprint, iters)
         real.observe_footprint(footprint, iters)
     np.testing.assert_array_equal(raw._buffers[0], real.active_counts())
+    if headroom is not None:
+        assert (real.active_counts() == COUNTER_MAX).any()
     assert raw.snooped_accesses == real.snooped_accesses
     assert raw.accepted_accesses == real.accepted_accesses
+    assert raw._filled == real._filled

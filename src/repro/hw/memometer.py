@@ -13,7 +13,8 @@ This model is bit-exact at the level that matters:
 
 * the filter/shift arithmetic is the hardware formula
   (via :class:`~repro.core.spec.HeatMapSpec`);
-* counters saturate at 2**32 - 1;
+* counters saturate at 2**32 - 1 (every stored value fits int64, so
+  the memories are int64 arrays);
 * an MHM may have at most ``8 KB / 4 B = 2048`` cells — the paper's
   "at most about 2,000 cells";
 * monitoring is uninterrupted across the swap: accesses observed while
@@ -37,6 +38,12 @@ Two batched paths sit on top of it:
 Both batched paths leave the buffers, the snoop statistics and every
 ``memometer.*`` counter exactly equal for the same fetches; the
 differential suite holds them (and both kernels backends) to that.
+
+Saturation is rare, so each memory carries an upper bound on its
+cells: the accesses accepted into it since its last reset.  While that
+bound stays at or below ``COUNTER_MAX`` no cell can saturate, and
+:meth:`Memometer.observe_footprint` adds its increments without the
+clamp; past it, the saturating clamp applies as in the hardware.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from ..core.spec import HeatMapSpec
 from ..sim.trace import AccessBurst
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.kernel.footprint import CompiledFootprint
+    from ..sim.kernel.footprint import CellCounts, CompiledFootprint
 
 __all__ = [
     "MHM_MEMORY_BYTES",
@@ -133,18 +140,7 @@ class Memometer:
         self.registers = registers
         self.spec = registers.spec
         self.on_heatmap = on_heatmap
-        # Two identical on-chip memories; uint64 backing, saturated at
-        # COUNTER_MAX on every update, so overflow cannot wrap.
-        self._buffers = [
-            np.zeros(self.spec.num_cells, dtype=np.uint64),
-            np.zeros(self.spec.num_cells, dtype=np.uint64),
-        ]
-        self._active = 0
-        self._interval_index = 0
-        self._interval_start_ns = 0
-        # Snoop statistics (diagnostics only; not architectural).
-        self.snooped_accesses = 0
-        self.accepted_accesses = 0
+        self._reset_memories()
         # Observability instruments (no-op singletons when disabled;
         # the address path pays one bound-method call per burst and
         # never branches).  Cached here, so enable repro.obs *before*
@@ -180,6 +176,7 @@ class Memometer:
             return False
         idx = offset >> self.spec.shift
         buf = self._buffers[self._active]
+        self._filled[self._active] += weight
         summed = int(buf[idx]) + weight
         if summed > COUNTER_MAX:
             self._metric_saturated.inc()
@@ -218,12 +215,13 @@ class Memometer:
             self._metric_filtered.inc(total)
             return
         buf = self._buffers[self._active]
-        summed = buf + increments.astype(np.uint64)
+        self._filled[self._active] += accepted
+        summed = buf + increments
         if self._metric_saturated.enabled:
             over = summed > COUNTER_MAX
             if over.any():
                 self._metric_saturated.inc(int(over.sum()))
-        np.minimum(summed, COUNTER_MAX, out=buf, casting="unsafe")
+        np.minimum(summed, COUNTER_MAX, out=buf)
         self.accepted_accesses += accepted
         self._metric_accepted.inc(accepted)
         self._metric_filtered.inc(total - accepted)
@@ -238,10 +236,16 @@ class Memometer:
         burst ``(footprint.addresses, np.repeat(iters,
         footprint.step_lengths))``, saturation included, but the cell
         arithmetic was done once when the footprint was first binned.
+
+        While the active buffer's bound (accesses accepted since its
+        reset, this invocation's included) is at most ``COUNTER_MAX``,
+        no cell can exceed it, so the clamp is skipped.
         """
-        binned = footprint.cell_counts(
-            self.registers.base_address, self.registers.region_size, self.spec.shift
-        )
+        binned = self._cell_counts.get(footprint)
+        if binned is None:
+            binned = self._cell_counts[footprint] = footprint.cell_counts(
+                self.registers.base_address, self.registers.region_size, self.spec.shift
+            )
         totals = iters @ binned.weights  # [snooped, accepted, per-cell...]
         total = int(totals[0])
         accepted = int(totals[1])
@@ -249,12 +253,18 @@ class Memometer:
         self.accepted_accesses += accepted
         saturated = 0
         if accepted:
-            buf = self._buffers[self._active]
+            active = self._active
+            buf = self._buffers[active]
             cells = binned.cells
-            summed = buf[cells] + totals[2:].astype(np.uint64)
-            if self._counting:
-                saturated = int(np.count_nonzero(summed > COUNTER_MAX))
-            buf[cells] = np.minimum(summed, COUNTER_MAX, out=summed)
+            filled = self._filled[active] + accepted
+            self._filled[active] = filled
+            if filled <= COUNTER_MAX:
+                buf[cells] += totals[2:]
+            else:
+                summed = buf[cells] + totals[2:]
+                if self._counting:
+                    saturated = int(np.count_nonzero(summed > COUNTER_MAX))
+                buf[cells] = np.minimum(summed, COUNTER_MAX, out=summed)
         if self._counting:
             self._metric_snooped.inc(total)
             self._metric_bursts.inc()
@@ -271,7 +281,7 @@ class Memometer:
 
     def active_counts(self) -> np.ndarray:
         """A *copy* of the in-progress MHM (diagnostics)."""
-        return self._buffers[self._active].astype(np.int64)
+        return self._buffers[self._active].copy()
 
     def interval_boundary(self, time_ns: int) -> MemoryHeatMap:
         """Swap buffers at a monitoring-interval boundary.
@@ -286,7 +296,7 @@ class Memometer:
         completed = self._buffers[completed_index]
         heat_map = MemoryHeatMap(
             self.spec,
-            completed.astype(np.int64),
+            completed.copy(),
             interval_index=self._interval_index,
             start_time_ns=self._interval_start_ns,
         )
@@ -295,6 +305,7 @@ class Memometer:
         # core's perspective (it runs on the other core), so the reset
         # happens before this buffer is active again.
         completed[:] = 0
+        self._filled[completed_index] = 0
         self._interval_index += 1
         self._interval_start_ns = time_ns
         self._metric_swaps.inc()
@@ -332,13 +343,25 @@ class Memometer:
         """
         self.registers = registers
         self.spec = registers.spec
+        self._reset_memories()
+
+    def _reset_memories(self) -> None:
+        # Two identical on-chip memories.  Counters saturate at
+        # COUNTER_MAX, so every value fits int64 and cannot wrap.
         self._buffers = [
-            np.zeros(self.spec.num_cells, dtype=np.uint64),
-            np.zeros(self.spec.num_cells, dtype=np.uint64),
+            np.zeros(self.spec.num_cells, dtype=np.int64),
+            np.zeros(self.spec.num_cells, dtype=np.int64),
         ]
+        # _filled[i]: accesses accepted into buffer i since its last
+        # reset, an upper bound on every cell of that buffer.
+        self._filled = [0, 0]
+        # Footprint -> its CellCounts for this region (the spec is
+        # fixed until the next reconfigure).
+        self._cell_counts: dict["CompiledFootprint", "CellCounts"] = {}
         self._active = 0
         self._interval_index = 0
         self._interval_start_ns = 0
+        # Snoop statistics (diagnostics only; not architectural).
         self.snooped_accesses = 0
         self.accepted_accesses = 0
 

@@ -10,6 +10,13 @@ The engine is intentionally minimal: an absolute-time event queue with
 deterministic FIFO tie-breaking, cancellable handles and periodic
 sources.  Time is integer nanoseconds throughout so runs are exactly
 reproducible.
+
+The queue is a heap of ``(time_ns, seq, handle)`` tuples.  ``seq`` comes
+from one counter and is never reused, so two entries always differ
+before the handle and heap order is decided by C tuple comparison of
+two ints; handles themselves are never compared.  A periodic source
+pushes a fresh tuple per occurrence around the same handle, so one
+:meth:`Simulator.cancel` stops the recurrence.
 """
 
 from __future__ import annotations
@@ -39,9 +46,6 @@ class EventHandle:
         self.args = args
         self.cancelled = False
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time_ns, self.seq) < (other.time_ns, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         name = getattr(self.fn, "__name__", repr(self.fn))
         state = " cancelled" if self.cancelled else ""
@@ -58,7 +62,7 @@ class Simulator:
 
     def __init__(self, start_time_ns: int = 0):
         self.now: int = start_time_ns
-        self._queue: list[EventHandle] = []
+        self._queue: list[tuple[int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
         registry = obs.metrics()
@@ -75,8 +79,10 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule event in the past ({time_ns} < now={self.now})"
             )
-        handle = EventHandle(int(time_ns), next(self._seq), fn, args)
-        heapq.heappush(self._queue, handle)
+        time_ns = int(time_ns)
+        seq = next(self._seq)
+        handle = EventHandle(time_ns, seq, fn, args)
+        heapq.heappush(self._queue, (time_ns, seq, handle))
         return handle
 
     def schedule_after(self, delay_ns: int, fn: Callable, *args) -> EventHandle:
@@ -104,18 +110,20 @@ class Simulator:
         if first < self.now:
             raise ValueError(f"start_at {first} is before now={self.now}")
 
-        handle = EventHandle(int(first), next(self._seq), fn, args)
+        first = int(first)
+        seq = next(self._seq)
+        handle = EventHandle(first, seq, fn, args)
 
         def _tick() -> None:
             fn(*args)
             if not handle.cancelled:
-                handle.time_ns = handle.time_ns + period_ns
+                handle.time_ns += period_ns
                 handle.seq = next(self._seq)
-                heapq.heappush(self._queue, handle)
+                heapq.heappush(self._queue, (handle.time_ns, handle.seq, handle))
 
         handle.fn = _tick
         handle.args = ()
-        heapq.heappush(self._queue, handle)
+        heapq.heappush(self._queue, (first, seq, handle))
         return handle
 
     @staticmethod
@@ -138,12 +146,14 @@ class Simulator:
             raise RuntimeError("run_until called re-entrantly from a callback")
         self._running = True
         executed = 0
+        queue = self._queue
+        pop = heapq.heappop
         try:
-            while self._queue and self._queue[0].time_ns <= end_time_ns:
-                handle = heapq.heappop(self._queue)
+            while queue and queue[0][0] <= end_time_ns:
+                time_ns, _, handle = pop(queue)
                 if handle.cancelled:
                     continue
-                self.now = handle.time_ns
+                self.now = time_ns
                 handle.fn(*handle.args)
                 executed += 1
         finally:
@@ -161,7 +171,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for h in self._queue if not h.cancelled)
+        return sum(1 for entry in self._queue if not entry[2].cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Simulator(now={self.now}ns, pending={self.pending_events})"

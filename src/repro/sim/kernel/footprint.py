@@ -134,6 +134,10 @@ class CompiledFootprint:
             len(self.step_lengths) == len(self.mean_iterations) == len(self.jitters)
         ):
             raise ValueError("per-step arrays must have equal length")
+        # ``sample_iterations`` draws through ``standard_normal``, which
+        # (unlike ``rng.normal``) would accept a negative scale silently.
+        if (self.jitters < 0).any():
+            raise ValueError("jitters must be non-negative")
         self._cell_counts: dict[tuple[int, int, int], CellCounts] = {}
 
     @property
@@ -154,11 +158,24 @@ class CompiledFootprint:
         """One invocation's per-step iteration counts (int64, >= 1).
 
         ``jitter_scale`` multiplies every step's jitter; an RTOS-like
-        platform (deterministic loop bounds) uses a scale < 1.  One
-        ``rng.normal`` draw per call, whichever path consumes it.
+        platform (deterministic loop bounds) uses a scale < 1.
+
+        The draw is bit-for-bit ``rng.normal(1.0, jitters *
+        jitter_scale)``: numpy computes that as ``loc + scale * z`` per
+        element over ``standard_normal`` draws taken in order, so the
+        same arithmetic done in place on ``standard_normal(num_steps)``
+        gives the same values and leaves the generator in the same
+        state, without ``normal``'s per-call broadcasting.  Keep the
+        operation order: folding ``mean_iterations`` into the scale
+        first would round differently.
         """
-        noise = rng.normal(loc=1.0, scale=self.jitters * jitter_scale)
-        return np.maximum(1, np.rint(self.mean_iterations * noise)).astype(np.int64)
+        z = rng.standard_normal(len(self.jitters))
+        z *= self.jitters * jitter_scale
+        z += 1.0
+        z *= self.mean_iterations
+        np.rint(z, out=z)
+        np.maximum(z, 1.0, out=z)
+        return z.astype(np.int64)
 
     def sample(
         self, rng: np.random.Generator, jitter_scale: float = 1.0

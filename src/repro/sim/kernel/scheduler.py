@@ -35,6 +35,11 @@ from .kernel import Kernel
 
 __all__ = ["TaskStats", "TaskControl", "RMScheduler"]
 
+#: Per-address weights of the token user-space burst every dispatch
+#: emits; shared and read-only, since no probe writes burst weights.
+_USER_SLICE_WEIGHTS = np.full(8, 4, dtype=np.int64)
+_USER_SLICE_WEIGHTS.setflags(write=False)
+
 
 @dataclass
 class TaskStats:
@@ -274,8 +279,7 @@ class RMScheduler:
     def _emit_user_slice(self, job: Job) -> None:
         """A token user-space burst per dispatch (exercises the filter)."""
         addresses = job.user_base + self.rng.integers(0, 0x8000, size=8) * 4
-        weights = np.full(8, 4, dtype=np.int64)
-        self.kernel.emit_user_burst(addresses.astype(np.int64), weights, core=self.core_id)
+        self.kernel.emit_user_burst(addresses, _USER_SLICE_WEIGHTS, core=self.core_id)
 
     def _schedule_milestone(self, job: Job) -> None:
         dt = job.time_to_next_milestone()

@@ -55,10 +55,23 @@ class KernelService:
     latency_ns: int
     latency_jitter: float = 0.05
 
+    def __post_init__(self) -> None:
+        # ``sample_latency`` draws through ``standard_normal``, which
+        # (unlike ``rng.normal``) would accept a negative scale silently.
+        if self.latency_jitter < 0:
+            raise ValueError("latency_jitter must be non-negative")
+
     def sample_latency(self, rng: np.random.Generator) -> int:
-        """One invocation's CPU time (never below 10% of the mean)."""
-        jittered = rng.normal(self.latency_ns, self.latency_ns * self.latency_jitter)
-        return max(int(self.latency_ns * 0.1), int(jittered))
+        """One invocation's CPU time (never below 10% of the mean).
+
+        Bit-for-bit ``rng.normal(latency_ns, latency_ns *
+        latency_jitter)``, which numpy computes as ``loc + scale * z``
+        from one ``standard_normal`` draw; spelled out, it skips
+        ``normal``'s per-call argument handling.
+        """
+        latency = self.latency_ns
+        jittered = latency + latency * self.latency_jitter * rng.standard_normal()
+        return max(int(latency * 0.1), int(jittered))
 
     def sample_burst(
         self, rng: np.random.Generator, jitter_scale: float = 1.0

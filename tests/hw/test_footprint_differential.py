@@ -222,3 +222,80 @@ def test_footprint_outside_region_is_all_filtered():
     counters = _memometer_counters(registry)
     assert counters["memometer.filtered_accesses"]["value"] == total
     assert counters["memometer.bursts"]["value"] == 1
+
+
+def _paired_run(regs, prefill: AccessBurst, footprint, iters_seq):
+    """Both paths over the same pre-fill and invocations; the cell path's
+    ``_filled`` bound is recorded after each invocation."""
+    results, bounds = [], []
+    for observe in ("footprint", "burst"):
+        memometer, registry = _observed_memometer(regs)
+        memometer.observe_burst(prefill)
+        for iters in iters_seq:
+            if observe == "footprint":
+                memometer.observe_footprint(footprint, iters)
+                bounds.append(memometer._filled[memometer.active_buffer_index])
+            else:
+                memometer.observe_burst(
+                    AccessBurst(
+                        0, footprint.addresses, np.repeat(iters, footprint.step_lengths)
+                    )
+                )
+        results.append(
+            (
+                memometer.active_counts(),
+                memometer.snooped_accesses,
+                memometer.accepted_accesses,
+                _memometer_counters(registry),
+            )
+        )
+    (cell_counts, *cell_rest), (addr_counts, *addr_rest) = results
+    np.testing.assert_array_equal(cell_counts, addr_counts)
+    assert cell_rest == addr_rest
+    return cell_counts, cell_rest[-1], bounds
+
+
+@pytest.mark.parametrize("prefilled_cell, saturated", [(0, 3), (5, 0)])
+def test_bound_crossing_mid_sequence(prefilled_cell, saturated):
+    """The clamp-free adds hand over to the saturating clamp exactly when
+    the bound passes COUNTER_MAX, whether or not a touched cell is the
+    one that saturates."""
+    regs = ControlRegisters(KERNEL_TEXT_BASE, KERNEL_TEXT_SIZE, 2048, 10_000_000)
+    footprint = COMPILER.compile(
+        [FootprintStep(function=None, address=KERNEL_TEXT_BASE, size=16)]
+    )
+    prefill = AccessBurst(
+        0, [KERNEL_TEXT_BASE + prefilled_cell * 2048], [COUNTER_MAX - 10]
+    )
+    iters_seq = [np.array([3], dtype=np.int64)] * 6
+    counts, counters, bounds = _paired_run(regs, prefill, footprint, iters_seq)
+    # Bound after each call: the first three stay under COUNTER_MAX.
+    assert bounds == [COUNTER_MAX - 10 + 3 * k for k in range(1, 7)]
+    assert [b <= COUNTER_MAX for b in bounds] == [True] * 3 + [False] * 3
+    assert counters["memometer.saturated"]["value"] == saturated
+    assert counts[0] == (COUNTER_MAX if prefilled_cell == 0 else 18)
+
+
+@given(case=cases(), fraction=st.floats(0.0, 1.0), pick=st.integers(0, 2**16))
+@settings(max_examples=50, deadline=None)
+def test_bound_crossing_equals_address_path(case, fraction, pick):
+    """Pre-fill one cell so that the bound passes COUNTER_MAX partway
+    through the invocations; every buffer and counter, ``saturated``
+    included, must still equal the address path."""
+    regs, footprint = case["registers"], case["footprint"]
+    rng = np.random.default_rng(case["seed"])
+    iters_seq = [
+        footprint.sample_iterations(rng, case["jitter_scale"])
+        for _ in range(case["invocations"] + 2)
+    ]
+    binned = footprint.cell_counts(regs.base_address, regs.region_size, regs.spec.shift)
+    accepted = [int(iters @ binned.weights[:, 1]) for iters in iters_seq]
+    # A touched cell when there is one, so saturation can happen too.
+    cells = binned.cells if binned.cells.size else np.arange(regs.spec.num_cells)
+    cell = int(cells[pick % len(cells)])
+    headroom = int(fraction * sum(accepted))
+    prefill = AccessBurst(
+        0, [regs.base_address + cell * regs.granularity], [COUNTER_MAX - headroom]
+    )
+    _, _, bounds = _paired_run(regs, prefill, footprint, iters_seq)
+    assert bounds == list(COUNTER_MAX - headroom + np.cumsum(accepted))

@@ -349,3 +349,85 @@ class TestSaturationMetrics:
             assert registry.counter("memometer.snooped_accesses").value == 5
             assert registry.counter("memometer.accepted_accesses").value == 3
             assert registry.counter("memometer.filtered_accesses").value == 2
+
+
+class TestFilledBound:
+    """``_filled[i]`` bounds every cell of buffer *i* from above.
+
+    It is what lets ``observe_footprint`` skip the saturating clamp, so
+    every datapath must raise it and only a reset may lower it.
+    """
+
+    def test_every_datapath_raises_the_active_bound(self):
+        from repro.sim.kernel.footprint import CompiledFootprint
+
+        memometer = Memometer(make_registers())
+        memometer.observe(0x1000, weight=3)
+        memometer.observe(0x0, weight=100)  # filtered: not accepted
+        memometer.observe_burst(make_burst([0x1000, 0x1100, 0x0], [2, 5, 9]))
+        footprint = CompiledFootprint(
+            addresses=[0x1000, 0x1200, 0x0],
+            step_lengths=[2, 1],
+            mean_iterations=[1.0, 1.0],
+            jitters=[0.0, 0.0],
+        )
+        memometer.observe_footprint(footprint, np.array([4, 7], dtype=np.int64))
+        assert memometer._filled == [3 + 7 + 4 * 2, 0]
+        assert memometer._filled[0] == memometer.accepted_accesses
+        assert memometer.active_counts().max() <= memometer._filled[0]
+
+    def test_swap_resets_only_the_completed_buffer(self):
+        memometer = Memometer(make_registers())
+        memometer.observe(0x1000, weight=11)
+        memometer.interval_boundary(10_000_000)  # buffer 0 completed
+        assert memometer._filled == [0, 0]
+        memometer.observe(0x1100, weight=5)
+        assert memometer._filled == [0, 5]
+        memometer.interval_boundary(20_000_000)  # buffer 1 completed
+        memometer.observe(0x1200, weight=2)
+        assert memometer._filled == [2, 0]
+        # Buffer 0 fills while buffer 1 (already cleared) waits.
+        memometer.observe(0x1200, weight=3)
+        assert memometer._filled == [5, 0]
+
+    def test_reconfigure_zeroes_both_bounds(self):
+        memometer = Memometer(make_registers())
+        memometer.observe(0x1000, weight=4)
+        memometer.interval_boundary(10_000_000)
+        memometer.observe(0x1000, weight=6)
+        assert memometer._filled == [0, 6]
+        memometer.reconfigure(make_registers(granularity=0x200))
+        assert memometer._filled == [0, 0]
+
+    def test_reconfigure_drops_cached_cell_counts(self):
+        """After a granularity change the cell path counts like a fresh
+        Memometer: no CellCounts binned for the old spec survive."""
+        from repro.sim.kernel.kernel import Kernel
+        from repro.sim.engine import Simulator
+        from repro.sim.kernel.layout import KERNEL_TEXT_BASE, KERNEL_TEXT_SIZE
+
+        def kernel_registers(granularity):
+            return ControlRegisters(
+                KERNEL_TEXT_BASE, KERNEL_TEXT_SIZE, granularity, 10_000_000
+            )
+
+        rng = np.random.default_rng(14)
+        kernel = Kernel(Simulator(), rng)
+        footprints = [
+            kernel.services.get(name).footprint for name in kernel.services.names()
+        ]
+        invocations = [
+            (fp, fp.sample_iterations(rng)) for fp in footprints for _ in range(3)
+        ]
+        reused = Memometer(kernel_registers(2048))
+        for footprint, iters in invocations:
+            reused.observe_footprint(footprint, iters)
+        reused.reconfigure(kernel_registers(8192))
+        fresh = Memometer(kernel_registers(8192))
+        for footprint, iters in invocations:
+            reused.observe_footprint(footprint, iters)
+            fresh.observe_footprint(footprint, iters)
+        assert reused.active_counts().shape == fresh.active_counts().shape
+        np.testing.assert_array_equal(reused.active_counts(), fresh.active_counts())
+        assert reused.accepted_accesses == fresh.accepted_accesses
+        assert reused._filled == fresh._filled
