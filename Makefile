@@ -56,7 +56,8 @@ test-contexts:
 
 # The event-bus control-plane suite alone: bus unit tests, the
 # hypothesis scheduling properties, the chaos campaigns against the
-# bus fault sites, the lockstep ≡ async conformance oracle and the
+# bus fault sites, the conformance oracle (bus runs ≡ the canonical
+# reports frozen from the removed lockstep executor) and the
 # recalibration state machine — everything marked @pytest.mark.bus.
 # Deterministic by construction: no wall-clock sleeps anywhere in the
 # suite (interleavings come from seeded SchedulingJitter, time from

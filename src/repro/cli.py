@@ -69,13 +69,14 @@ Exit codes (stable; scripts may rely on them):
   kernel fell below its speedup floor against the reference oracle.
   ``BENCH_kernels.json`` is still written for inspection.
 * ``6`` — ``serve`` completed **degraded**: one or more interval
-  records were dropped under backpressure (``drop-oldest`` policy with
-  the queue overflowing).  The fleet report is still written/printed.
+  records were dropped under backpressure (``drop-oldest`` or ``shed``
+  policy with the queue overflowing).  The fleet report is still
+  written/printed.
 * ``7`` — ``matrix`` found at least one **diverging cell**: a scenario
   × detector combination whose observed outcome differs from the
   outcome the attack class declares.  The matrix JSON is still
   written/printed so the divergence can be inspected.
-* ``8`` — ``serve --executor async`` aborted on a **bus stall**: a
+* ``8`` — ``serve`` aborted on a **bus stall**: a
   block-policy publish waited longer than ``--stall-timeout`` on a
   subscriber that stopped draining its queue (a deadlocked or wedged
   consumer, as opposed to a merely slow one, which would only stall).
@@ -125,7 +126,6 @@ from .serve import (
 )
 from .serve import BusStallError, RecalibrationPolicy
 from .serve.bus import BUS_POLICIES as _BUS_POLICIES
-from .serve.service import EXECUTORS as _EXECUTORS
 from .sim.platform import Platform, PlatformConfig
 from .viz.ascii import render_heatmap, render_series
 from .viz.tables import format_metrics, format_table
@@ -169,7 +169,7 @@ class ExitCode(enum.IntEnum):
     SERVE_DEGRADED = 6
     #: matrix: an observed cell outcome diverged from its declaration.
     MATRIX_DIVERGENCE = 7
-    #: serve (async executor): a block-policy publish timed out on a
+    #: serve: a block-policy publish timed out on a
     #: subscriber that stopped draining (BusStallError).
     BUS_STALL = 8
 
@@ -453,26 +453,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--policy", choices=_BUS_POLICIES, default="block",
-        help="backpressure policy when a shard queue is full "
+        help="backpressure policy when a shard's scoring queue is full "
         "(default block: producers stall, nothing is dropped; "
-        "shed needs --executor async)",
-    )
-    serve.add_argument(
-        "--executor", choices=_EXECUTORS, default="lockstep",
-        help="shard executor: lockstep (serial reference loop) or "
-        "async (event-bus data plane; bit-identical digests)",
+        "drop-oldest evicts the oldest pending record; shed discards "
+        "the incoming one)",
     )
     serve.add_argument(
         "--cadences", metavar="C1,C2,...",
-        help="heterogeneous device cadences (async executor): device i "
+        help="heterogeneous device cadences: device i "
         "emits every Ci fleet steps, cycled over the list "
         "(default: every device every step)",
     )
     serve.add_argument(
         "--recalibrate", action="store_true",
         help="apply drift-suggested thresholds through the "
-        "proposal -> canary trial -> commit state machine "
-        "(async executor)",
+        "proposal -> canary trial -> commit state machine",
     )
     serve.add_argument(
         "--canary-intervals", type=int, default=24, metavar="N",
@@ -481,27 +476,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--stall-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="async executor: abort with exit code 8 when a "
+        help="abort with exit code 8 when a "
         "block-policy publish waits longer than this on a stuck "
         "subscriber (default 30; 0 disables)",
     )
     serve.add_argument(
         "--failures-out", metavar="PATH",
         help="write poisoned-subscriber failure records (JSON) here "
-        "after an async run",
+        "after the run",
     )
     serve.add_argument(
         "--capacity", type=int, default=128,
-        help="bounded queue capacity per shard (default 128)",
+        help="bounded scoring-queue capacity per shard; a capacity "
+        "below the records one fleet step emits throttles scoring "
+        "(default 128)",
     )
     serve.add_argument(
         "--batch", type=int, default=32,
         help="scoring batch size = fixed kernel batch shape (default 32)",
-    )
-    serve.add_argument(
-        "--drain-per-step", type=int, metavar="M",
-        help="throttle: score at most M records per shard per fleet step "
-        "(models a saturated scoring core; default unlimited)",
     )
     serve.add_argument(
         "--attacks", type=int, default=0, metavar="N",
@@ -1354,7 +1346,6 @@ def _cmd_serve(args) -> int:
             policy=args.policy,
             queue_capacity=args.capacity,
             batch_size=args.batch,
-            drain_per_step=args.drain_per_step,
             p_percent=args.quantile,
             consecutive_for_alarm=args.alarm_consecutive,
             seed=args.seed,
@@ -1375,7 +1366,6 @@ def _cmd_serve(args) -> int:
                 mhm_share=args.mhm_share,
                 rule=args.ensemble_rule,
             ),
-            executor=args.executor,
             cadences=cadences,
             recalibration=RecalibrationPolicy(
                 enabled=args.recalibrate,

@@ -413,10 +413,9 @@ def fleet_score_batch(
 
     ``pad_to=None`` scores the batch at its own shape — bit-identical
     to ``detector.score_series`` on the same matrix.  ``pad_to=k``
-    zero-pads to fixed ``k``-row chunks — bit-identical to the serving
-    layer's historical ``batched_log_densities`` chunk loop, keeping
-    every row's score a pure function of its own vector (the serial ≡
-    sharded digest contract).  ``dtype=None`` uses
+    zero-pads to fixed ``k``-row chunks, keeping every row's score a
+    pure function of its own vector, whatever its batch-mates (the
+    serial ≡ sharded digest contract).  ``dtype=None`` uses
     :func:`active_dtype`; the reference backend ignores the dtype and
     always computes the float64 oracle result.
     """

@@ -1,7 +1,7 @@
 """Deterministic trace contexts: one trace per device-interval.
 
 A fleet run scores tens of thousands of device-intervals through four
-stages (fleet simulator → router → shard worker → report).  To debug
+stages (device stream → event bus → shard worker → report).  To debug
 one of them end-to-end you need every stage's telemetry to carry the
 same correlation id — and for the reproduction's determinism story,
 that id must be a *pure function of the run*, not a random UUID.

@@ -10,13 +10,11 @@ Layers (see ``docs/serving.md``):
 
 * :class:`~repro.serve.registry.DetectorRegistry` — profile → trained
   detector, through the artifact cache;
-* :class:`~repro.serve.router.StreamRouter` — bounded queues, block /
-  drop-oldest backpressure, ``serve.*`` obs counters (the lockstep
-  reference executor's data plane);
-* :class:`~repro.serve.bus.EventBus` — the asyncio pub/sub control
-  plane (``--executor async``): ingestion, scoring, drift/
+* :class:`~repro.serve.bus.EventBus` — the asyncio pub/sub data and
+  control plane every shard runs on: ingestion, scoring, drift/
   recalibration and reporting as independent subscribers with
-  per-subscriber backpressure (block / drop-oldest / shed);
+  per-subscriber bounded queues and backpressure (block / drop-oldest
+  / shed);
 * :class:`~repro.serve.worker.ShardWorker` — fixed-shape cross-device
   batch scoring with per-record SKIPPED degradation;
 * :class:`~repro.serve.drift.DriftMonitor` — per-device score
@@ -27,7 +25,7 @@ Layers (see ``docs/serving.md``):
 * :class:`~repro.serve.service.FleetService` — the orchestrator
   behind ``repro serve``; emits a deterministic
   :class:`~repro.serve.report.FleetReport` that is bit-identical
-  across shard counts *and* executors.
+  across shard counts.
 """
 
 from .bus import (
@@ -43,15 +41,13 @@ from .health import health_summary, write_health
 from .recalibrate import RecalibrationController, RecalibrationPolicy
 from .registry import DetectorRegistry, FleetTrainSpec
 from .report import DeviceReport, FleetReport, device_digest
-from .router import POLICIES, StreamRouter
 from .service import (
-    EXECUTORS,
     SERVE_TRACE_CATEGORIES,
     FleetService,
     ServeConfig,
     TelemetryConfig,
 )
-from .worker import ScoredInterval, ShardWorker, batched_log_densities
+from .worker import ScoredInterval, ShardWorker
 
 __all__ = [
     "BUS_POLICIES",
@@ -68,9 +64,6 @@ __all__ = [
     "DeviceReport",
     "FleetReport",
     "device_digest",
-    "POLICIES",
-    "EXECUTORS",
-    "StreamRouter",
     "FleetService",
     "ServeConfig",
     "TelemetryConfig",
@@ -79,7 +72,6 @@ __all__ = [
     "RecalibrationPolicy",
     "ScoredInterval",
     "ShardWorker",
-    "batched_log_densities",
     "health_summary",
     "write_health",
 ]

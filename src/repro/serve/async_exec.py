@@ -1,18 +1,24 @@
-"""The event-bus shard executor: `repro serve --executor async`.
+"""The shard executor: one shard's streams on the event bus.
 
-One shard, one event loop, one :class:`~repro.serve.bus.EventBus`.
-The lockstep executor's welded call chain (simulator → router →
-worker) becomes four independent parties wired by topics:
+One shard, one event loop, one :class:`~repro.serve.bus.EventBus`,
+four independent parties wired by topics:
 
 * **ingestion** — pulls each device's :class:`DeviceStream` on its own
   cadence and publishes ``interval.observed``.  Yields to the loop
-  once per fleet step, so scoring drains in the same step rhythm the
-  lockstep path ticks in;
+  once per fleet step (the step barrier), so drop-oldest and shed
+  measure real per-step pressure;
 * **scoring** — a *queued* subscriber draining ``interval.observed``
-  in batches of ``batch_size`` through the unchanged
-  :meth:`ShardWorker.score_batch` (same fixed-shape padded kernels,
-  same digests).  Its queue carries the configured backpressure policy
-  (block / drop-oldest / shed);
+  through :meth:`ShardWorker.score_batch` in **full batches**: it
+  takes a batch once ``min(batch_size, queue_capacity)`` records are
+  pending, or whatever is left when the queue closes.  The wait is
+  bounded by ``batch_size`` records, not by wall clock, and every
+  verdict carries its own record's simulated time; fixed-shape padded
+  kernels make each score independent of its batch-mates, so batch
+  composition never reaches a digest.  The queue carries the
+  configured backpressure policy (block / drop-oldest / shed) and
+  emits the ``serve.queue.*``, ``serve.batches``, ``serve.batch_fill``
+  and per-shard ``serve.shard.queue_depth`` /
+  ``serve.shard.batch_latency_us`` series;
 * **drift + recalibration** — a *direct* subscriber on
   ``interval.scored``: the controller runs synchronously inside the
   scoring callback, so a canary commit swaps the threshold before the
@@ -26,20 +32,23 @@ worker) becomes four independent parties wired by topics:
 Accounting invariant: every record the simulator emits lands in
 exactly one of *scored*, *skipped* or *dropped* — publish-loss and
 deliver-loss faults route the casualty to
-:meth:`ShardWorker.record_dropped` just like a router eviction, so
+:meth:`ShardWorker.record_dropped` just like a queue eviction, so
 ``emitted == scored + skipped + dropped`` holds under bus faults too.
 """
 
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import replace
 from math import ceil
 from typing import Optional, Sequence, Tuple
 
 from .. import faults, obs
+from ..obs.context import trace_args
+from ..obs.registry import log_buckets
 from ..sim.fleet import DeviceSpec, DeviceStream
-from .bus import EventBus, SchedulingJitter, run_subscriber
+from .bus import Event, EventBus, SchedulingJitter, run_subscriber
 from .recalibrate import RecalibrationController
 from .worker import OK, ScoredInterval, ShardWorker
 
@@ -96,22 +105,29 @@ async def run_shard_async(
     """Run one shard's full stream on the event bus.
 
     Returns ``(stats, sim_time_ns)``; per-device results accumulate in
-    ``worker`` exactly as under lockstep.  ``config`` is a
+    ``worker``.  ``config`` is a
     :class:`~repro.serve.service.ServeConfig` (duck-typed to avoid the
     import cycle).
     """
     bus = EventBus(
         stall_timeout=config.stall_timeout, jitter=jitter, shard=shard_index
     )
-    metric_emitted = obs.metrics().counter("serve.intervals_emitted")
+    queue = _QueueTelemetry(shard_index)
 
     # -- data plane ----------------------------------------------------
+    def on_drop(event: Event) -> None:
+        queue.dropped(event.payload, scoring_sub.depth())
+        worker.record_dropped(event.payload)
+
     scoring_sub = bus.subscribe(
         "scoring",
         "interval.observed",
         capacity=config.queue_capacity,
         policy=config.policy,
-        on_drop=lambda event: worker.record_dropped(event.payload),
+        on_drop=on_drop,
+        on_block=lambda event: queue.stalled(
+            event.payload, scoring_sub.depth()
+        ),
     )
     summary = {"scored": 0, "flagged": 0, "alarms": 0}
     reporting_sub = bus.subscribe(
@@ -170,24 +186,27 @@ async def run_shard_async(
                 record = stream.next_interval()
                 sim_time_ns = record.time_ns
                 submitted += 1
-                metric_emitted.inc()
+                queue.submitted()
                 await bus.publish(
                     "interval.observed",
                     record,
                     publisher=publisher,
                     key=f"{record.device_id}@{record.interval_index}",
                 )
+            queue.depth(scoring_sub.depth())
             if writer is not None:
                 writer.maybe_write(step, sim_time_ns)
-            # Step barrier: hand the loop to the scoring task so queues
-            # drain in the same step rhythm the lockstep executor ticks
-            # in (and drop-oldest/shed measure real per-step pressure).
+            # Step barrier: hand the loop to scoring (once a full batch
+            # is pending) and reporting, so drop-oldest/shed measure
+            # real per-step pressure.
             await asyncio.sleep(0)
         return sim_time_ns
 
     async def score() -> None:
         while True:
-            batch = await scoring_sub.get_batch(config.batch_size)
+            batch = await scoring_sub.get_batch(
+                config.batch_size, fill=config.batch_size
+            )
             if batch is None:
                 return
             if jitter is not None:
@@ -201,7 +220,7 @@ async def run_shard_async(
                         f"scoring:{first.device_id}@{first.interval_index}"
                     ),
                 )
-                worker.score_batch(records)
+                queue.score(worker, records)
             except Exception as exc:
                 bus.poison(scoring_sub, batch[0], exc)
                 return
@@ -245,3 +264,98 @@ async def run_shard_async(
         "bus": bus_stats,
     }
     return stats, sim_time_ns
+
+
+class _QueueTelemetry:
+    """The scoring queue's ``serve.*`` series and log events."""
+
+    def __init__(self, shard: int):
+        self.shard = shard
+        registry = obs.metrics()
+        self._emitted = registry.counter("serve.intervals_emitted")
+        self._submitted = registry.counter("serve.queue.submitted")
+        self._dropped = registry.counter("serve.queue.dropped")
+        self._stalls = registry.counter("serve.queue.block_stalls")
+        self._depth = registry.gauge("serve.queue.depth")
+        self._batches = registry.counter("serve.batches")
+        self._fill = registry.histogram(
+            "serve.batch_fill", buckets=(1, 2, 4, 8, 16, 32, 64, 128)
+        )
+        # Per-shard labelled series: queue depth for the dashboard and
+        # wall-clock batch scoring latency for p50/p95/p99 per shard.
+        label = str(shard)
+        self._shard_depth = registry.gauge_family(
+            "serve.shard.queue_depth", ("shard",)
+        ).labels(shard=label)
+        self._latency = registry.histogram_family(
+            "serve.shard.batch_latency_us",
+            ("shard",),
+            buckets=log_buckets(1.0, 1_000_000.0),
+        ).labels(shard=label)
+        self._log = obs.logger()
+        self._tracer = obs.tracer()
+
+    def submitted(self) -> None:
+        self._emitted.inc()
+        self._submitted.inc()
+
+    def depth(self, depth: int) -> None:
+        """Pending records at a fleet-step barrier."""
+        self._depth.set(depth)
+        self._shard_depth.set(depth)
+
+    def score(self, worker, records) -> None:
+        """Score one batch through ``worker``, timing it."""
+        self._batches.inc()
+        self._fill.observe(len(records))
+        if self._latency.enabled:
+            start = time.perf_counter_ns()
+            worker.score_batch(records)
+            self._latency.observe((time.perf_counter_ns() - start) / 1_000.0)
+        else:
+            worker.score_batch(records)
+
+    def stalled(self, record, depth: int) -> None:
+        self._stalls.inc()
+        if self._log.enabled:
+            self._log.event(
+                "serve.queue.stall",
+                level="warn",
+                device_id=record.device_id,
+                shard=self.shard,
+                sim_time_ns=record.time_ns,
+                trace=record.trace,
+                depth=depth,
+            )
+
+    def dropped(self, record, depth: int) -> None:
+        self._dropped.inc()
+        if not (self._log.enabled or self._tracer.enabled):
+            return
+        span = (
+            record.trace.child("queue.drop")
+            if record.trace is not None
+            else None
+        )
+        self._log.event(
+            "serve.queue.drop",
+            level="warn",
+            device_id=record.device_id,
+            shard=self.shard,
+            sim_time_ns=record.time_ns,
+            trace=span,
+            interval=record.interval_index,
+            depth=depth,
+        )
+        self._tracer.instant(
+            "queue.drop",
+            record.time_ns,
+            category="serve",
+            args=trace_args(
+                span,
+                status="dropped",
+                device_id=record.device_id,
+                interval=record.interval_index,
+            ),
+            track=record.device_index,
+        )

@@ -1,11 +1,10 @@
 """Asyncio pub/sub event bus: the fleet control plane's spine.
 
-The lockstep executor (PR 5) ticks every device each interval and
-scores synchronously — correct, but it welds ingestion, scoring, drift
-monitoring and reporting into one call chain.  :class:`EventBus`
-decouples them: publishers emit :class:`Event`\\ s onto named topics
-and each subscriber owns a **bounded queue with its own backpressure
-policy**, so a slow consumer degrades *itself* instead of the fleet.
+:class:`EventBus` keeps ingestion, scoring, drift monitoring and
+reporting out of one welded call chain: publishers emit
+:class:`Event`\\ s onto named topics and each subscriber owns a
+**bounded queue with its own backpressure policy**, so a slow consumer
+degrades *itself* instead of the fleet.
 
 Two delivery modes, chosen per subscription:
 
@@ -16,8 +15,10 @@ Two delivery modes, chosen per subscription:
     decides what gives:
 
     * ``block`` — the publisher awaits until the consumer frees room
-      (nothing is ever lost; a wall-clock ``stall_timeout`` guards
-      against a dead consumer and raises :class:`BusStallError`);
+      (nothing is ever lost; each wait is counted in ``block_waits``
+      and reported through ``on_block``; a wall-clock
+      ``stall_timeout`` guards against a dead consumer and raises
+      :class:`BusStallError`);
     * ``drop-oldest`` — the oldest pending event is evicted (bounded
       staleness; the eviction is surfaced through ``on_drop``);
     * ``shed`` — the *incoming* event is discarded and counted
@@ -69,9 +70,9 @@ __all__ = [
     "run_subscriber",
 ]
 
-#: Backpressure policies a queued subscription accepts.  ``block`` and
-#: ``drop-oldest`` mirror the lockstep router; ``shed`` is bus-only
-#: (discard the incoming event, keep the queued backlog).
+#: Backpressure policies a queued subscription accepts: ``block``
+#: (wait for room), ``drop-oldest`` (evict the queued head) and
+#: ``shed`` (discard the incoming event, keep the queued backlog).
 BUS_POLICIES = ("block", "drop-oldest", "shed")
 
 
@@ -130,6 +131,7 @@ class Subscription:
         mode: str = "queued",
         handler: Optional[Callable[[Event], None]] = None,
         on_drop: Optional[Callable[[Event], None]] = None,
+        on_block: Optional[Callable[[Event], None]] = None,
     ):
         if policy not in BUS_POLICIES:
             raise ValueError(
@@ -149,6 +151,7 @@ class Subscription:
         self.mode = mode
         self.handler = handler
         self.on_drop = on_drop
+        self.on_block = on_block
         self.closed = False
         self.poisoned = False
         self.delivered = 0
@@ -156,6 +159,9 @@ class Subscription:
         self.shed = 0  # shed-policy discards (+ forced sheds, see bus)
         self.block_waits = 0
         self._items: Deque[Event] = deque()
+        #: Queue depth that wakes the waiting consumer (``get_batch``'s
+        #: ``fill``; 1 otherwise).
+        self._want = 1
         self._not_empty = asyncio.Event()
         self._space = asyncio.Event()
         self._space.set()
@@ -182,16 +188,27 @@ class Subscription:
             return
         if len(self._items) >= self.capacity:
             if self.policy == "block":
+                # Counted here, where the full queue is seen, before any
+                # watchdog wrapper gets a chance to let the consumer run.
                 self.block_waits += 1
-                while len(self._items) >= self.capacity and not self.closed:
-                    self._space.clear()
-                    await self.bus._wait_for_space(self)
+                if self.on_block is not None:
+                    self.on_block(event)
+                await self.bus._wait_for_space(self, event)
             elif not self._evict_or_shed(event):
                 return
         if self.closed:
             return
+        self._append(event)
+
+    def _append(self, event: Event) -> None:
         self._items.append(event)
-        self._not_empty.set()
+        if len(self._items) >= self._want:
+            self._not_empty.set()
+
+    async def _until_space(self) -> None:
+        while len(self._items) >= self.capacity and not self.closed:
+            self._space.clear()
+            await self._space.wait()
 
     def _put_nowait(self, event: Event) -> None:
         """Synchronous enqueue (``publish_sync``); a full ``block``
@@ -208,30 +225,35 @@ class Subscription:
                 return
             if not self._evict_or_shed(event):
                 return
-        self._items.append(event)
-        self._not_empty.set()
+        self._append(event)
 
     # -- consumer side -------------------------------------------------
-    async def get(self) -> Optional[Event]:
-        """Next event, FIFO; ``None`` once closed and drained."""
-        while not self._items:
-            if self.closed:
-                return None
+    async def _wait_depth(self, depth: int) -> bool:
+        """Wait until ``depth`` events are queued (at most ``capacity``)
+        or the queue closes; False once closed and drained."""
+        self._want = min(depth, self.capacity)
+        while len(self._items) < self._want and not self.closed:
             self._not_empty.clear()
             await self._not_empty.wait()
-        event = self._items.popleft()
-        self.delivered += 1
-        self.bus._count_delivered()
-        if len(self._items) < self.capacity:
-            self._space.set()
-        return event
+        self._want = 1
+        return bool(self._items)
 
-    async def get_batch(self, limit: int) -> Optional[List[Event]]:
-        """Up to ``limit`` immediately-available events (≥ 1), FIFO."""
-        first = await self.get()
-        if first is None:
+    async def get(self) -> Optional[Event]:
+        """Next event, FIFO; ``None`` once closed and drained."""
+        batch = await self.get_batch(1)
+        return batch[0] if batch else None
+
+    async def get_batch(
+        self, limit: int, fill: int = 1
+    ) -> Optional[List[Event]]:
+        """Up to ``limit`` events (≥ 1), FIFO, taken once ``fill`` are
+        queued — or whatever is left once the queue closes.  ``fill``
+        is capped at ``capacity`` (a fuller queue cannot exist); the
+        default takes whatever is immediately available.  ``None`` once
+        closed and drained."""
+        if not await self._wait_depth(fill):
             return None
-        batch = [first]
+        batch = []
         while len(batch) < limit and self._items:
             batch.append(self._items.popleft())
             self.delivered += 1
@@ -321,11 +343,12 @@ class EventBus:
         mode: str = "queued",
         handler: Optional[Callable[[Event], None]] = None,
         on_drop: Optional[Callable[[Event], None]] = None,
+        on_block: Optional[Callable[[Event], None]] = None,
     ) -> Subscription:
         topics = (topics,) if isinstance(topics, str) else tuple(topics)
         sub = Subscription(
             self, name, topics, capacity=capacity, policy=policy,
-            mode=mode, handler=handler, on_drop=on_drop,
+            mode=mode, handler=handler, on_drop=on_drop, on_block=on_block,
         )
         for topic in topics:
             self._subs.setdefault(topic, []).append(sub)
@@ -384,7 +407,7 @@ class EventBus:
             if sub.mode == "direct":
                 self._dispatch_direct(sub, event)
             elif self._gate("bus.deliver", f"{sub.name}:{topic}:{key}"):
-                await self._put_blocking(sub, event)
+                await sub._put(event)
             else:
                 self._deliver_lost(sub, event)
         return True
@@ -441,31 +464,26 @@ class EventBus:
         if sub.on_drop is not None:
             sub.on_drop(event)
 
-    async def _put_blocking(self, sub: Subscription, event: Event) -> None:
-        if (
-            sub.policy == "block"
-            and self.stall_timeout is not None
-            and sub.depth() >= sub.capacity
-        ):
-            try:
-                await asyncio.wait_for(
-                    sub._put(event), timeout=self.stall_timeout
+    async def _wait_for_space(self, sub: Subscription, event: Event) -> None:
+        """Wait until a full ``block`` queue has room (or closes), under
+        the stall watchdog when one is set."""
+        if self.stall_timeout is None:
+            await sub._until_space()
+            return
+        try:
+            await asyncio.wait_for(
+                sub._until_space(), timeout=self.stall_timeout
+            )
+        except asyncio.TimeoutError:
+            if self._log.enabled:
+                self._log.event(
+                    "bus.stall", level="error", shard=self.shard,
+                    subscriber=sub.name, topic=event.topic,
+                    depth=sub.depth(), timeout_s=self.stall_timeout,
                 )
-            except asyncio.TimeoutError:
-                if self._log.enabled:
-                    self._log.event(
-                        "bus.stall", level="error", shard=self.shard,
-                        subscriber=sub.name, topic=event.topic,
-                        depth=sub.depth(), timeout_s=self.stall_timeout,
-                    )
-                raise BusStallError(
-                    sub.name, event.topic, self.stall_timeout
-                ) from None
-        else:
-            await sub._put(event)
-
-    async def _wait_for_space(self, sub: Subscription) -> None:
-        await sub._space.wait()
+            raise BusStallError(
+                sub.name, event.topic, self.stall_timeout
+            ) from None
 
     # -- consumption / failure handling --------------------------------
     def _dispatch_direct(self, sub: Subscription, event: Event) -> None:

@@ -91,11 +91,10 @@ class DeviceReport:
     context_flagged: int = 0
     context_drift_max: Optional[float] = None
     context_drift_exceeded: bool = False
-    # Event-bus executor accounting (defaults keep earlier payloads
-    # loadable and make lockstep ≡ async canonical dicts comparable:
+    # Event-bus accounting (defaults keep earlier payloads loadable:
     # every field below is seed-determined, not scheduling-determined).
-    #: Fleet steps between this device's intervals (async executor's
-    #: heterogeneous cadences; always 1 under lockstep).
+    #: Fleet steps between this device's intervals (heterogeneous
+    #: cadences; 1 when every device ticks every step).
     cadence: int = 1
     #: A drift-proposed threshold passed its canary trial and was
     #: hot-swapped in during the run.
@@ -146,16 +145,17 @@ class FleetReport:
     #: default keeps schema-1 payloads written before the fast path
     #: existed loadable (they could only have scored in float64).
     kernels_dtype: str = "float64"
-    #: Which executor ran the shards: "lockstep" (the serial reference)
-    #: or "async" (the event-bus data plane).  Scheduling metadata —
-    #: the conformance contract is that it never changes the verdicts.
+    #: Which executor ran the shards.  Runs record "async" (the event
+    #: bus, the only executor); the "lockstep" default is what reports
+    #: written by the removed serial loop load as.  Scheduling metadata
+    #: — it never changes the verdicts.
     executor: str = "lockstep"
     #: Devices whose threshold was hot-swapped by a recalibration
     #: commit (seed-determined, so it survives into the canonical view).
     devices_recalibrated: int = 0
     #: Event-bus accounting (publish/deliver/drop/shed counters, the
     #: poisoned-subscriber failure records, recalibration totals).
-    #: ``None`` under the lockstep executor.
+    #: ``None`` in reports written by the removed lockstep executor.
     bus: Optional[dict] = None
     device_reports: List[DeviceReport] = field(default_factory=list)
 
@@ -199,7 +199,7 @@ class FleetReport:
             fleet_digest=fleet.hexdigest(),
             modality=getattr(config, "modality", "mhm"),
             kernels_dtype=kernels_dtype,
-            executor=getattr(config, "executor", "lockstep"),
+            executor=config.executor,
             devices_recalibrated=sum(1 for r in reports if r.recalibrated),
             bus=bus,
             device_reports=reports,
@@ -244,9 +244,9 @@ class FleetReport:
         it, the ``block_stalls`` counter (shard-local queue pressure)
         and the ``bus`` accounting block (per-run scheduling detail).
         ``repro serve --shards 1`` and ``--shards 4`` on the same seed
-        produce equal canonical dicts, and so do ``--executor
-        lockstep`` and ``--executor async`` — the bus-conformance suite
-        asserts both, digests included.
+        produce equal canonical dicts, and both equal the canonical
+        reports frozen from the removed lockstep executor — the
+        bus-conformance suite asserts it, digests included.
         """
         payload = self.to_dict()
         payload.pop("shards")

@@ -1,4 +1,4 @@
-"""The fleet service: wiring simulator → router → workers → report.
+"""The fleet service: wiring simulator → event bus → workers → report.
 
 :class:`FleetService` is the long-running entry point behind
 ``repro serve``.  One run:
@@ -10,9 +10,11 @@
    backed) and exports the fitted parameters;
 3. partitions devices across ``shards`` (``index % shards``) and runs
    each shard — in-process for ``shards == 1``, in a
-   ``ProcessPoolExecutor`` otherwise.  A shard replays its devices'
-   streams, routes records through a bounded backpressure queue, and
-   scores them in fixed-shape cross-device batches;
+   ``ProcessPoolExecutor`` otherwise.  A shard runs its devices'
+   streams on one :class:`~repro.serve.bus.EventBus`
+   (:func:`~repro.serve.async_exec.run_shard_async`): records flow
+   through the scoring subscriber's bounded backpressure queue and
+   are scored in full, fixed-shape cross-device batches;
 4. merges the per-device reports into one :class:`FleetReport`.
 
 Because a device's stream is a pure function of its spec, detectors
@@ -20,9 +22,9 @@ are shipped bit-exactly, and fixed-shape batching makes each record's
 score independent of its batch-mates, the merged report is
 **bit-identical across shard counts** — ``--shards 1`` and
 ``--shards 4`` on the same seed produce the same per-device digests
-and the same fleet digest.  (Under a throttled/drop-oldest queue the
-*set of dropped records* is shard-local load shedding and may differ;
-the scores of whatever was scored still match.)
+and the same fleet digest.  (Under a drop-oldest or shed queue that
+overflows, the *set of dropped records* is shard-local load shedding
+and may differ; the scores of whatever was scored still match.)
 """
 
 from __future__ import annotations
@@ -39,21 +41,16 @@ from ..obs.manifest import to_jsonable
 from ..obs.snapshots import SnapshotWriter
 from ..pipeline.cache import ArtifactCache
 from ..pipeline.stages import SCENARIOS
-from ..sim.fleet import FleetSimulator, build_fleet_specs
+from ..sim.fleet import build_fleet_specs
 from .async_exec import cadence_for, run_shard_async, scale_spec_for_cadence
 from .bus import BUS_POLICIES
 from .drift import DriftMonitor, DriftPolicy
 from .recalibrate import RecalibrationPolicy
 from .registry import DetectorRegistry, FleetTrainSpec
 from .report import DeviceReport, FleetReport
-from .router import POLICIES, StreamRouter
 from .worker import MODALITIES, ShardWorker
 
-__all__ = ["EXECUTORS", "ServeConfig", "TelemetryConfig", "FleetService"]
-
-#: Shard executors: the serial reference loop and the event-bus data
-#: plane.  The bus-conformance suite pins them bit-identical.
-EXECUTORS = ("lockstep", "async")
+__all__ = ["ServeConfig", "TelemetryConfig", "FleetService"]
 
 #: Trace categories the fleet service keeps by default: fleet-layer
 #: events only.  The platform simulator's per-tick events would put a
@@ -113,7 +110,6 @@ class ServeConfig:
     policy: str = "block"
     queue_capacity: int = 128
     batch_size: int = 32
-    drain_per_step: Optional[int] = None
     p_percent: float = 1.0
     consecutive_for_alarm: int = 3
     seed: int = 0
@@ -137,15 +133,15 @@ class ServeConfig:
     #: programmatic dtype overrides don't cross process-pool
     #: boundaries (only environment variables do).
     kernels_dtype: Optional[str] = None
-    #: Shard executor: "lockstep" (the serial reference) or "async"
-    #: (the event-bus data plane; same digests, by contract).
-    executor: str = "lockstep"
-    #: Heterogeneous device cadences (async executor only): device *i*
-    #: emits every ``cadences[i % len(cadences)]`` fleet steps.  ``None``
-    #: means every device ticks every step, matching lockstep.
+    #: Compatibility field: the event bus ("async") is the only shard
+    #: executor.  The value is recorded in the report, never digested.
+    executor: str = "async"
+    #: Heterogeneous device cadences: device *i* emits every
+    #: ``cadences[i % len(cadences)]`` fleet steps.  ``None`` means
+    #: every device ticks every step.
     cadences: Optional[Tuple[int, ...]] = None
-    #: Applied hot detector swap (async executor only): drift proposals
-    #: flow through a canary trial and commit per-device thresholds.
+    #: Applied hot detector swap: drift proposals flow through a
+    #: canary trial and commit per-device thresholds.
     recalibration: RecalibrationPolicy = field(
         default_factory=RecalibrationPolicy
     )
@@ -174,36 +170,19 @@ class ServeConfig:
             raise ValueError("shards must be in [1, devices]")
         if self.intervals < 1:
             raise ValueError("intervals must be >= 1")
-        if self.executor not in EXECUTORS:
+        if self.executor != "async":
             raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"choose from {EXECUTORS}"
+                f"executor {self.executor!r} is not available: the "
+                "lockstep executor was removed, and the event bus "
+                "('async') is the only shard executor"
             )
-        if self.executor == "lockstep":
-            if self.policy not in POLICIES:
-                raise ValueError(
-                    f"unknown backpressure policy {self.policy!r}; "
-                    f"choose from {POLICIES}"
-                )
-            if self.cadences is not None:
-                raise ValueError(
-                    "heterogeneous cadences need executor='async'"
-                )
-            if self.recalibration.enabled:
-                raise ValueError(
-                    "threshold recalibration needs executor='async'"
-                )
-        else:
-            if self.policy not in BUS_POLICIES:
-                raise ValueError(
-                    f"unknown backpressure policy {self.policy!r}; "
-                    f"choose from {BUS_POLICIES}"
-                )
-            if self.drain_per_step is not None:
-                raise ValueError(
-                    "drain_per_step is a lockstep router throttle; "
-                    "not supported under executor='async'"
-                )
+        if self.batch_size < 1 or self.queue_capacity < 1:
+            raise ValueError("batch_size and queue_capacity must be >= 1")
+        if self.policy not in BUS_POLICIES:
+            raise ValueError(
+                f"unknown backpressure policy {self.policy!r}; "
+                f"choose from {BUS_POLICIES}"
+            )
         if self.cadences is not None:
             if not self.cadences:
                 raise ValueError("cadences must be non-empty")
@@ -281,36 +260,11 @@ def _run_shard(
                 context_detectors=context_detectors,
                 ensemble=config.ensemble,
             )
-            if config.executor == "async":
-                stats, sim_time_ns = asyncio.run(
-                    run_shard_async(
-                        shard_index, specs, worker, config, writer=writer
-                    )
+            stats, sim_time_ns = asyncio.run(
+                run_shard_async(
+                    shard_index, specs, worker, config, writer=writer
                 )
-            else:
-                router = StreamRouter(
-                    worker,
-                    batch_size=config.batch_size,
-                    capacity=config.queue_capacity,
-                    policy=config.policy,
-                    drain_per_step=config.drain_per_step,
-                    shard=shard_index,
-                )
-                simulator = FleetSimulator(specs)
-                sim_time_ns = 0
-                for step in range(1, config.intervals + 1):
-                    for record in simulator.step():
-                        sim_time_ns = record.time_ns
-                        router.submit(record)
-                    router.end_step()
-                    if writer is not None:
-                        writer.maybe_write(step, sim_time_ns)
-                router.flush()
-                stats = {
-                    "submitted": router.submitted,
-                    "dropped": router.dropped,
-                    "block_stalls": router.block_stalls,
-                }
+            )
             reports = [
                 worker.device_report(
                     spec,
@@ -464,8 +418,7 @@ class FleetService:
         for reports, stats, shard_telemetry in results:
             device_reports.extend(reports)
             block_stalls += stats["block_stalls"]
-            if stats.get("bus") is not None:
-                bus_totals = self._merge_bus(bus_totals, stats["bus"])
+            bus_totals = self._merge_bus(bus_totals, stats["bus"])
             self._merge_telemetry(shard_telemetry)
         report = FleetReport.build(
             config=config,

@@ -12,9 +12,9 @@ record in the batch, regardless of which device produced it.
 the difference depends on the batch's *row count*.  Naive cross-device
 batching would therefore make a device's log-densities depend on which
 other records happened to share its batch — breaking the serial ≡
-sharded bit-identity contract.  :func:`batched_log_densities` instead
-pads every batch to a fixed ``pad_to`` row count with zero rows before
-calling the kernels.  At a fixed matrix shape, each row's result is
+sharded bit-identity contract.  The worker instead pads every batch to
+a fixed ``batch_pad`` row count with zero rows inside the fused
+kernel call.  At a fixed matrix shape, each row's result is
 independent of the other rows' *contents and order* (verified by the
 serve determinism suite), so every record's score is a pure function
 of its own MHM vector — whatever batch, shard or interleaving it
@@ -44,7 +44,6 @@ from .report import DeviceReport, device_digest
 
 __all__ = [
     "MODALITIES",
-    "batched_log_densities",
     "DeviceState",
     "ScoredInterval",
     "ShardWorker",
@@ -56,40 +55,6 @@ OK, ANOMALOUS, SKIPPED = "ok", "anomalous", "skipped"
 #: Scoring modes: MHM densities only, syscall contexts only, or both
 #: fused under an :class:`~repro.learn.ensemble.EnsembleConfig` rule.
 MODALITIES = ("mhm", "contexts", "ensemble")
-
-
-def batched_log_densities(
-    detector: MhmDetector, matrix: np.ndarray, pad_to: int = 32
-) -> np.ndarray:
-    """Log-densities for ``matrix`` rows at a fixed kernel batch shape.
-
-    Rows are processed in zero-padded chunks of exactly ``pad_to``
-    rows, so each row's score is bitwise independent of how many real
-    records shared its kernel call.
-
-    This is the historical unfused chain, kept as the regression
-    oracle for the fused path: :class:`ShardWorker` now scores through
-    one :func:`repro.kernels.fleet_score_batch` call per profile
-    group, and ``tests/kernels/test_fused.py`` pins the fused float64
-    result bit-identical to this function.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("expected a 2-D batch of MHM vectors")
-    eigen = detector.eigenmemory
-    params = detector.gmm.parameters
-    out = np.empty(len(matrix), dtype=np.float64)
-    for start in range(0, len(matrix), pad_to):
-        chunk = matrix[start : start + pad_to]
-        n = len(chunk)
-        padded = np.zeros((pad_to, matrix.shape[1]), dtype=np.float64)
-        padded[:n] = chunk
-        reduced = kernels.project_batch(padded, eigen.mean_, eigen.components_)
-        densities = kernels.log_density_batch(
-            reduced, params.weights, params.means, params.cholesky_factors
-        )
-        out[start : start + n] = densities[:n]
-    return out
 
 
 @dataclass(frozen=True)
@@ -197,13 +162,13 @@ class ShardWorker:
         # kernels.fleet_score_batch call per cross-device batch.
         self._scorers: Dict[str, kernels.FleetScorer] = {}
         # Hot-swapped per-device thresholds (recalibration commits) and
-        # their provenance.  Empty under the lockstep executor, so the
+        # their provenance.  Empty unless recalibration commits, so the
         # per-record override lookup cannot perturb historical digests.
         self._theta_overrides: Dict[str, float] = {}
         self._recalibrations: Dict[str, dict] = {}
         #: Control-plane tap: called synchronously with a
         #: :class:`ScoredInterval` after each scored record, in stream
-        #: order.  The async executor bridges this onto the event bus.
+        #: order.  The shard executor bridges this onto the event bus.
         self.on_scored: Optional[Callable[[ScoredInterval], None]] = None
         self.states: Dict[str, DeviceState] = {
             spec.device_id: DeviceState(spec=spec) for spec in specs
@@ -346,7 +311,8 @@ class ShardWorker:
                 )
 
     def record_dropped(self, record: IntervalRecord) -> None:
-        """Account for a record the router evicted (drop-oldest)."""
+        """Account for a record lost before scoring (queue eviction or
+        shed, or a bus publish/deliver fault)."""
         state = self.states[record.device_id]
         state.emitted += 1
         state.dropped += 1

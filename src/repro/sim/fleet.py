@@ -17,9 +17,9 @@ This module supplies the fleet-side half of that story:
   per-interval :class:`IntervalRecord` values, injecting (and, for
   reversible attacks, reverting) its scenario at the configured
   interval exactly the way the single-device
-  :class:`~repro.pipeline.scenario.ScenarioRunner` does;
-* :class:`FleetSimulator` — round-robin interleaving of every device
-  stream, one simulated monitoring interval per device per step.
+  :class:`~repro.pipeline.scenario.ScenarioRunner` does.  The serving
+  layer's shard executor pulls every device stream once per fleet
+  step, in device order.
 
 Determinism contract: a device's records are a pure function of its
 spec.  Interleaving order, shard assignment and worker count never
@@ -30,7 +30,7 @@ serial ≡ sharded bit-identity tests are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "IntervalRecord",
     "build_fleet_specs",
     "DeviceStream",
-    "FleetSimulator",
 ]
 
 
@@ -305,37 +304,3 @@ class DeviceStream:
             trace=trace,
             syscalls=syscalls,
         )
-
-
-class FleetSimulator:
-    """Interleaves every device stream, one interval per device per step."""
-
-    def __init__(
-        self,
-        specs: Sequence[DeviceSpec],
-        configs: Optional[Dict[str, PlatformConfig]] = None,
-    ):
-        if not specs:
-            raise ValueError("a fleet needs at least one device")
-        configs = configs or {}
-        self.streams = [
-            DeviceStream(spec, config=configs.get(spec.profile)) for spec in specs
-        ]
-        self._metric_emitted = obs.metrics().counter("serve.intervals_emitted")
-
-    @property
-    def specs(self) -> List[DeviceSpec]:
-        return [stream.spec for stream in self.streams]
-
-    def step(self) -> Iterator[IntervalRecord]:
-        """One fleet step: every device advances one interval, in
-        device order."""
-        for stream in self.streams:
-            record = stream.next_interval()
-            self._metric_emitted.inc()
-            yield record
-
-    def run(self, intervals: int) -> Iterator[IntervalRecord]:
-        """``intervals`` fleet steps, fully interleaved."""
-        for _ in range(intervals):
-            yield from self.step()

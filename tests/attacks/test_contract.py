@@ -7,7 +7,7 @@ for the conformance matrix and the fleet simulator to stay sound:
 * injection is deterministic — the same seed replays bit-identically;
 * the scenario seed actually steers the trajectory;
 * reversible attacks survive a full inject → revert → re-inject
-  round-trip on a fresh platform (``FleetSimulator`` reuses attack
+  round-trip on a fresh platform (a ``DeviceStream`` reuses attack
   objects across device boots);
 * every attack declares a complete, in-vocabulary expected-outcome row
   for the conformance matrix.
@@ -78,7 +78,7 @@ class TestDeterminism:
 )
 class TestRevertRoundTrip:
     def test_revert_then_reinject_is_bit_identical(self, scenario):
-        """FleetSimulator's contract: one attack object, many boots."""
+        """The fleet streams' contract: one attack object, many boots."""
         attack, first = _run(scenario, post=POST)
         assert first.revert_interval is not None
         # The same object re-runs on a fresh platform and reproduces

@@ -4,8 +4,8 @@ Four contracts, each on hypothesis-generated model fixtures:
 
 * **float64 differential** — fused vectorized ≡ the unfused vectorized
   chain bitwise, and ≡ the scalar reference oracle within 1e-9;
-* **bitwise pins** — fused float64 reproduces the serving layer's
-  historical ``batched_log_densities`` chunk loop and the context
+* **bitwise pins** — fused float64 reproduces the unfused
+  project → log-density chain over zero-padded chunks and the context
   detector's ``score_series`` / ``drift_series`` residuals exactly
   (the shipped-digest contract);
 * **float32 fast path** — error against the float64 oracle bounded by
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.kernels import reference, vectorized
 from repro.learn.contexts import ContextDetector
-from repro.serve.worker import batched_log_densities
 
 ATOL = 1e-9
 
@@ -109,32 +108,25 @@ class TestFloat64Differential:
     @batch_cases
     @settings(max_examples=40, deadline=None)
     def test_fused_matches_unfused_chain_bitwise(self, seed, n, pad_to):
-        """pad_to=None ≡ project→log_density at the batch's own shape."""
+        """project→log_density at the batch's own shape (pad_to=None),
+        or over zero-padded ``pad_to``-row chunks."""
         fx = _fixture(seed, n)
         densities, _, _ = _fused(
             vectorized, fx, pad_to=pad_to, with_context=False
         )
-        if pad_to is None:
-            reduced = vectorized.project_batch(fx.matrix, fx.mean, fx.components)
-            expected = vectorized.log_density_batch(
-                reduced, fx.weights, fx.gmm_means, fx.chols
+        chunk = pad_to or n
+        expected = []
+        for start in range(0, n, chunk):
+            rows = fx.matrix[start : start + chunk]
+            padded = np.zeros((chunk, CELLS))
+            padded[: len(rows)] = rows
+            reduced = vectorized.project_batch(padded, fx.mean, fx.components)
+            expected.append(
+                vectorized.log_density_batch(
+                    reduced, fx.weights, fx.gmm_means, fx.chols
+                )[: len(rows)]
             )
-            np.testing.assert_array_equal(densities, expected)
-        else:
-            detector = SimpleNamespace(
-                eigenmemory=SimpleNamespace(
-                    mean_=fx.mean, components_=fx.components
-                ),
-                gmm=SimpleNamespace(
-                    parameters=SimpleNamespace(
-                        weights=fx.weights,
-                        means=fx.gmm_means,
-                        cholesky_factors=fx.chols,
-                    )
-                ),
-            )
-            expected = batched_log_densities(detector, fx.matrix, pad_to=pad_to)
-            np.testing.assert_array_equal(densities, expected)
+        np.testing.assert_array_equal(densities, np.concatenate(expected))
 
     @batch_cases
     @settings(max_examples=40, deadline=None)

@@ -78,6 +78,39 @@ class TestSubscriptionBasics:
 
         assert run(scenario()) == ([0, 1, 2, 3], [4, 5, 6])
 
+    def test_get_batch_waits_for_fill_until_close(self):
+        async def scenario():
+            bus = EventBus()
+            sub = bus.subscribe("tap", "t", capacity=8)
+            taken = []
+
+            async def consume():
+                while (batch := await sub.get_batch(4, fill=4)) is not None:
+                    taken.append([e.payload for e in batch])
+
+            task = asyncio.ensure_future(consume())
+            for i in range(6):
+                await bus.publish("t", i)
+                await asyncio.sleep(0)  # the consumer may run each time
+            sub.close()
+            await task
+            return taken
+
+        # A full batch once 4 are pending; the remainder at close.
+        assert run(scenario()) == [[0, 1, 2, 3], [4, 5]]
+
+    def test_get_batch_fill_is_capped_at_capacity(self):
+        async def scenario():
+            bus = EventBus()
+            sub = bus.subscribe("tap", "t", capacity=2, policy="block")
+            task = asyncio.ensure_future(sub.get_batch(8, fill=8))
+            for i in range(2):
+                await bus.publish("t", i)
+            return [e.payload for e in await task]
+
+        # fill=8 cannot be reached under a capacity-2 block queue.
+        assert run(scenario()) == [0, 1]
+
     def test_publish_to_topic_without_subscribers_is_counted(self):
         async def scenario():
             bus = EventBus()
@@ -219,6 +252,33 @@ class TestStall:
         assert err.subscriber == "dead"
         assert err.topic == "t"
         assert err.timeout_s == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("stall_timeout", [30.0, None])
+    def test_block_wait_counted_with_and_without_watchdog(
+        self, stall_timeout
+    ):
+        async def scenario():
+            bus = EventBus(stall_timeout=stall_timeout)
+            blocked = []
+            sub = bus.subscribe(
+                "tap", "t", capacity=1, policy="block",
+                on_block=lambda e: blocked.append(e.payload),
+            )
+
+            async def drain():
+                while await sub.get() is not None:
+                    pass
+
+            task = asyncio.ensure_future(drain())
+            for i in range(4):
+                await bus.publish("t", i)  # no yield: the queue is full
+            sub.close()
+            await task
+            return sub.block_waits, blocked
+
+        # The watchdog must not hide a wait: every publish after the
+        # first finds the capacity-1 queue full.
+        assert run(scenario()) == (3, [1, 2, 3])
 
     def test_stall_error_survives_pickling(self):
         # Shard children re-raise through a ProcessPoolExecutor, which

@@ -56,11 +56,11 @@ class TestBusFaultCampaign:
     )
     def test_faulted_fleet_is_shard_invariant(self, config_factory, plan):
         reference = FleetService(
-            config_factory(executor="async"), fault_plan=plan
+            config_factory(), fault_plan=plan
         ).run()
         _assert_ledger(reference)
         sharded = FleetService(
-            config_factory(executor="async", shards=2), fault_plan=plan
+            config_factory(shards=2), fault_plan=plan
         ).run()
         _assert_ledger(sharded)
         assert sharded.canonical_dict() == reference.canonical_dict()
@@ -68,7 +68,7 @@ class TestBusFaultCampaign:
     def test_publish_loss_is_charged_as_dropped(self, config_factory):
         plan = _plan(**{"bus.publish": dict(probability=0.4, mode="raise")})
         report = FleetService(
-            config_factory(executor="async"), fault_plan=plan
+            config_factory(), fault_plan=plan
         ).run()
         assert report.dropped > 0  # the campaign actually fired
         # publish_lost counts every topic (a lost interval.scored copy
@@ -83,7 +83,7 @@ class TestBusFaultCampaign:
                                 match="scoring"),
         })
         report = FleetService(
-            config_factory(executor="async"), fault_plan=plan
+            config_factory(), fault_plan=plan
         ).run()
         assert report.bus["deliver_faults"] > 0
         assert report.dropped == report.bus["deliver_faults"]
@@ -96,7 +96,7 @@ class TestBusFaultCampaign:
         # vanishingly unlikely — the retry absorbs every single fault.
         plan = _plan(**{"bus.publish": dict(probability=0.05, mode="raise")})
         report = FleetService(
-            config_factory(executor="async"), fault_plan=plan
+            config_factory(), fault_plan=plan
         ).run()
         assert report.dropped == 0
         assert report.bus["publish_lost"] == 0
@@ -112,7 +112,7 @@ class TestPoisonedSubscriber:
                                       match="reporting"),
         })
         report = FleetService(
-            config_factory(executor="async"), fault_plan=plan
+            config_factory(), fault_plan=plan
         ).run()
         # The data plane survived: everything still scored.
         assert report.scored == report.emitted
@@ -128,7 +128,7 @@ class TestPoisonedSubscriber:
                                       match="reporting"),
         })
         report = FleetService(
-            config_factory(executor="async"), fault_plan=plan
+            config_factory(), fault_plan=plan
         ).run()
         summary = health_summary(report)
         assert summary["ready"] is False
@@ -149,7 +149,7 @@ class TestPoisonedSubscriber:
                                       match="scoring"),
         })
         report = FleetService(
-            config_factory(executor="async"), fault_plan=plan
+            config_factory(), fault_plan=plan
         ).run()
         assert report.scored == 0
         failures = report.bus["failures"]
@@ -158,7 +158,7 @@ class TestPoisonedSubscriber:
         assert health_summary(report)["ready"] is False
 
     def test_healthy_run_has_empty_manifest(self, config_factory):
-        report = FleetService(config_factory(executor="async")).run()
+        report = FleetService(config_factory()).run()
         assert report.bus["failures"] == []
         assert report.bus["subscribers_poisoned"] == 0
         assert health_summary(report)["ready"] is True

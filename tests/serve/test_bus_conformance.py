@@ -1,20 +1,26 @@
-"""The bus-conformance oracle: lockstep ≡ async, bit for bit.
+"""The bus-conformance oracle: the event bus ≡ the frozen lockstep goldens.
 
-The lockstep executor is the *reference semantics* — a welded serial
-loop whose reports the whole historical suite pins.  The async
-executor reimplements the same data plane as bus subscribers.  This
-suite is the contract between them: for every configuration both
-support, the canonical fleet reports (per-device digest chains
-included) must be **bit-identical** — across executors, across shard
-counts, under fault plans, under either modality and either compute
-dtype.
+The serial lockstep loop was the serving layer's reference semantics
+until the event bus became the only executor.  Before it was deleted,
+its canonical fleet reports were frozen into
+``tests/fixtures/golden_serve_tiny.json`` for the serve-suite fleet
+(``conftest.base_config``) across shards {1, 2, 4} × modality
+{mhm, ensemble} × fault plan {none, ``serve.score`` corrupt p=0.3,
+``serve.score`` raise p=0.3}.  This suite is the contract the bus
+keeps with them: at every shard count the canonical report
+(per-device digest chains included) must match the golden **bit for
+bit**.  The fixture is regenerated only for an intentional numerics
+change, and reviewed like code::
 
-Cadence and recalibration runs have no lockstep twin (both are
-async-only features); for those the oracle degrades to async-internal
-shard invariance plus spot-checked semantics.
+    python -m pytest tests/serve/test_bus_conformance.py --update-goldens
+
+Cadence, recalibration and float32 runs have no golden; for those the
+oracle is bus-internal shard invariance plus spot-checked semantics.
 """
 
 import dataclasses
+import json
+import pathlib
 
 import pytest
 
@@ -23,6 +29,27 @@ from repro.serve import FleetService, health_summary
 
 pytestmark = pytest.mark.bus
 
+GOLDEN_PATH = (
+    pathlib.Path(__file__).parent.parent / "fixtures" / "golden_serve_tiny.json"
+)
+
+#: The fault plans the goldens cover, by name.
+PLANS = {
+    "none": None,
+    "corrupt": {"serve.score": dict(probability=0.3, mode="corrupt")},
+    "raise": {"serve.score": dict(probability=0.3, mode="raise")},
+}
+
+
+def _plan(name):
+    sites = PLANS[name]
+    if sites is None:
+        return None
+    return faults.FaultPlan(
+        seed=5,
+        sites={site: faults.FaultSpec(**spec) for site, spec in sites.items()},
+    )
+
 
 def _run(config, *, fault_plan=None, **overrides):
     return FleetService(
@@ -30,32 +57,47 @@ def _run(config, *, fault_plan=None, **overrides):
     ).run()
 
 
-@pytest.fixture(scope="module")
-def lockstep_report(base_config):
-    return FleetService(base_config).run()
+def _canonical_json(report) -> str:
+    # JSON text, not dicts: a NaN field compares equal to itself here.
+    return json.dumps(report.canonical_dict(), sort_keys=True)
+
+
+def _check_golden(base_config, update_goldens, modality, plan, shards):
+    """Run one golden case and compare (or, on update, record) it."""
+    report = _run(
+        base_config, fault_plan=_plan(plan), modality=modality, shards=shards
+    )
+    key = f"{modality}/{plan}/shards={shards}"
+    goldens = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    if update_goldens:
+        goldens[key] = report.canonical_dict()
+        GOLDEN_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
+    assert key in goldens, (
+        "serve golden missing — generate it with `pytest "
+        "tests/serve/test_bus_conformance.py --update-goldens`"
+    )
+    assert _canonical_json(report) == json.dumps(goldens[key], sort_keys=True), (
+        f"{key}: canonical report drifted from the frozen lockstep golden"
+    )
+    return report
 
 
 class TestExecutorIdentity:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_async_matches_lockstep_bitwise(
-        self, lockstep_report, base_config, shards
+        self, base_config, update_goldens, shards
     ):
-        report = _run(base_config, executor="async", shards=shards)
-        assert report.canonical_dict() == lockstep_report.canonical_dict()
-        assert report.fleet_digest == lockstep_report.fleet_digest
+        _check_golden(base_config, update_goldens, "mhm", "none", shards)
 
-    def test_executor_is_recorded_but_not_digested(
-        self, lockstep_report, base_config
-    ):
-        report = _run(base_config, executor="async")
+    def test_executor_is_recorded_but_not_digested(self, base_config):
+        report = _run(base_config)
         assert report.executor == "async"
-        assert lockstep_report.executor == "lockstep"
         # canonical_dict pops the executor field: the digests carry
         # the *scores*, not the machinery that produced them.
         assert "executor" not in report.canonical_dict()
 
     def test_async_ledger_is_clean(self, base_config):
-        report = _run(base_config, executor="async")
+        report = _run(base_config)
         assert report.emitted == report.scored
         assert report.dropped == 0 and report.skipped == 0
         assert report.bus["published"] >= report.emitted
@@ -63,53 +105,23 @@ class TestExecutorIdentity:
 
 
 class TestFaultedIdentity:
-    @pytest.mark.parametrize(
-        "sites",
-        [
-            {"serve.score": dict(probability=0.3, mode="corrupt")},
-            {"serve.score": dict(probability=0.3, mode="raise")},
-        ],
-        ids=["corrupt", "raise"],
-    )
+    @pytest.mark.parametrize("plan", ["corrupt", "raise"])
     def test_score_faults_identical_across_executors(
-        self, base_config, sites
+        self, base_config, update_goldens, plan
     ):
-        def plan():
-            return faults.FaultPlan(
-                seed=5,
-                sites={
-                    site: faults.FaultSpec(**spec)
-                    for site, spec in sites.items()
-                },
+        for shards in (1, 2, 4):
+            report = _check_golden(
+                base_config, update_goldens, "mhm", plan, shards
             )
-
-        lockstep = _run(base_config, fault_plan=plan())
-        assert lockstep.skipped > 0  # the plan actually fired
-        for shards in (1, 2):
-            report = _run(
-                base_config, executor="async", shards=shards,
-                fault_plan=plan(),
-            )
-            assert report.canonical_dict() == lockstep.canonical_dict()
+            assert report.skipped > 0  # the plan actually fired
 
     def test_skip_positions_are_batch_composition_independent(
         self, base_config
     ):
-        """The regression pinned by the PR-10 ordering fix: a skipped
-        record must land at its own interval position in the digest
-        chain whether it was scored in a 32-record lockstep batch or a
-        4-record bus batch."""
-        plan = faults.FaultPlan(
-            seed=5,
-            sites={
-                "serve.score": faults.FaultSpec(
-                    probability=0.3, mode="corrupt"
-                )
-            },
-        )
-        report = _run(
-            base_config, fault_plan=plan, keep_densities=True
-        )
+        """A skipped record must land at its own interval position in
+        the digest chain, whatever batch it was scored in."""
+        plan = _plan("corrupt")
+        report = _run(base_config, fault_plan=plan, keep_densities=True)
         for entry in report.device_reports:
             expected_skips = [
                 i
@@ -127,42 +139,31 @@ class TestFaultedIdentity:
 
 
 class TestModalityAndDtypeIdentity:
-    @pytest.fixture(scope="class")
-    def ensemble_config(self, base_config):
-        return dataclasses.replace(
-            base_config, intervals=24, modality="ensemble"
-        )
-
-    def test_ensemble_identical_across_executors(self, ensemble_config):
-        lockstep = FleetService(ensemble_config).run()
-        report = _run(ensemble_config, executor="async", shards=2)
-        assert report.canonical_dict() == lockstep.canonical_dict()
+    def test_ensemble_identical_across_executors(
+        self, base_config, update_goldens
+    ):
+        for plan in ("none", "corrupt"):
+            for shards in (1, 2, 4):
+                _check_golden(
+                    base_config, update_goldens, "ensemble", plan, shards
+                )
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_dtypes_identical_across_executors(self, base_config, dtype):
-        lockstep = _run(base_config, kernels_dtype=dtype)
-        report = _run(
-            base_config, executor="async", shards=2, kernels_dtype=dtype
-        )
-        assert report.canonical_dict() == lockstep.canonical_dict()
+        reference = _run(base_config, kernels_dtype=dtype)
+        report = _run(base_config, shards=2, kernels_dtype=dtype)
+        assert report.canonical_dict() == reference.canonical_dict()
         assert report.kernels_dtype == dtype
 
 
 class TestCadences:
     def test_cadence_run_is_shard_invariant(self, base_config):
-        reference = _run(
-            base_config, executor="async", cadences=(1, 2), intervals=16
-        )
-        sharded = _run(
-            base_config, executor="async", cadences=(1, 2), intervals=16,
-            shards=2,
-        )
+        reference = _run(base_config, cadences=(1, 2), intervals=16)
+        sharded = _run(base_config, cadences=(1, 2), intervals=16, shards=2)
         assert sharded.canonical_dict() == reference.canonical_dict()
 
     def test_cadence_emission_counts_and_health(self, base_config):
-        report = _run(
-            base_config, executor="async", cadences=(1, 2), intervals=16
-        )
+        report = _run(base_config, cadences=(1, 2), intervals=16)
         by_cadence = {}
         for entry in report.device_reports:
             by_cadence.setdefault(entry.cadence, []).append(entry.emitted)
@@ -173,15 +174,9 @@ class TestCadences:
         assert summary["ready"] is True  # the complete check is
         # cadence-aware: 8 emitted records on a cadence-2 device is full
 
-    def test_cadence_one_everywhere_matches_lockstep(
-        self, lockstep_report, base_config
-    ):
+    def test_cadence_one_everywhere_matches_lockstep(self, base_config):
         """cadences=(1,) is the degenerate case: every device ticks
-        every step, so the run must equal the cadence-free reference."""
-        report = _run(base_config, executor="async", cadences=(1,))
-        canonical = report.canonical_dict()
-        assert canonical == lockstep_report.canonical_dict()
-
-    def test_cadences_rejected_under_lockstep(self, base_config):
-        with pytest.raises(ValueError, match="async"):
-            dataclasses.replace(base_config, cadences=(1, 2))
+        every step, so the run must equal the cadence-free golden."""
+        report = _run(base_config, cadences=(1,))
+        golden = json.loads(GOLDEN_PATH.read_text())["mhm/none/shards=1"]
+        assert _canonical_json(report) == json.dumps(golden, sort_keys=True)

@@ -7,7 +7,6 @@ from repro.sim.fleet import (
     PROFILES,
     DeviceSpec,
     DeviceStream,
-    FleetSimulator,
     build_fleet_specs,
     profile_config,
 )
@@ -130,32 +129,25 @@ class TestDeviceStream:
         assert [r.interval_index for r in records] == [0, 1, 2, 3]
         assert all(r.vector.dtype == np.float64 for r in records)
 
-
-class TestFleetSimulator:
-    def test_interleaving_order(self):
-        specs = build_fleet_specs(3, 4, root_seed=5)
-        sim = FleetSimulator(specs)
-        records = list(sim.run(2))
-        assert [r.device_index for r in records] == [0, 1, 2, 0, 1, 2]
-        assert [r.interval_index for r in records] == [0, 0, 0, 1, 1, 1]
-
     def test_stream_purity(self):
         """A device's records don't depend on the rest of the fleet.
 
         This is the foundation of the serial ≡ sharded contract: the
-        same spec alone and inside a fleet emits bit-identical MHMs.
+        same spec pulled alone and interleaved step by step with other
+        devices' streams emits bit-identical MHMs.
         """
         specs = build_fleet_specs(3, 3, root_seed=5, attacked_devices=1)
+        fleet = [DeviceStream(spec) for spec in specs]
         fleet_records = [
-            r for r in FleetSimulator(specs).run(3) if r.device_index == 1
+            record
+            for _ in range(3)
+            for record in [stream.next_interval() for stream in fleet]
+            if record.device_index == 1
         ]
-        solo_records = list(FleetSimulator([specs[1]]).run(3))
+        solo = DeviceStream(specs[1])
+        solo_records = [solo.next_interval() for _ in range(3)]
         assert len(fleet_records) == len(solo_records) == 3
         for a, b in zip(fleet_records, solo_records):
             assert a.interval_index == b.interval_index
             assert a.truth == b.truth
             np.testing.assert_array_equal(a.vector, b.vector)
-
-    def test_empty_fleet_rejected(self):
-        with pytest.raises(ValueError, match="at least one device"):
-            FleetSimulator([])

@@ -46,13 +46,15 @@ class TestAccounting:
         )
 
     def test_drop_oldest_accounting_invariant(self, config_factory):
+        # A queue smaller than one fleet step's emission (4 devices)
+        # overflows at every step barrier: 2 of each step's 4 records
+        # are evicted.
         report = FleetService(
             config_factory(
-                policy="drop-oldest", queue_capacity=8, batch_size=4,
-                drain_per_step=2,
+                policy="drop-oldest", queue_capacity=2, batch_size=2,
             )
         ).run()
-        assert report.dropped > 0
+        assert report.dropped == report.emitted // 2 > 0
         assert report.emitted == (
             report.scored + report.skipped + report.dropped
         )
@@ -62,8 +64,7 @@ class TestAccounting:
     def test_block_policy_never_drops(self, config_factory):
         report = FleetService(
             config_factory(
-                policy="block", queue_capacity=8, batch_size=4,
-                drain_per_step=2,
+                policy="block", queue_capacity=2, batch_size=2,
             )
         ).run()
         assert report.dropped == 0
@@ -216,8 +217,13 @@ class TestServeConfigValidation:
             dict(policy="bogus"),
             dict(consecutive_for_alarm=0),
             dict(p_percent=0.0),
+            dict(queue_capacity=0),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
+
+    def test_lockstep_executor_says_it_was_removed(self):
+        with pytest.raises(ValueError, match="removed"):
+            ServeConfig(executor="lockstep")

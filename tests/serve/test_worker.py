@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, kernels
 from repro.serve.registry import DetectorRegistry
-from repro.serve.worker import ShardWorker, batched_log_densities
+from repro.serve.worker import ShardWorker
 from repro.sim.fleet import DeviceSpec, DeviceStream, IntervalRecord, build_fleet_specs
 from tests.serve.conftest import TINY_TRAIN
 
@@ -28,33 +28,44 @@ def make_worker(detector, specs, **kwargs):
     return ShardWorker({"baseline": detector}, specs, **kwargs)
 
 
+def padded_log_densities(detector, matrix, pad_to=4):
+    """The worker's fused scoring path at a fixed ``pad_to`` batch shape."""
+    scorer = kernels.FleetScorer.from_detectors(detector)
+    return scorer.score(matrix, pad_to=pad_to).log_densities
+
+
 class TestFixedShapeBatching:
     def test_score_independent_of_batch_composition(self, detector, records):
         """The serial ≡ sharded keystone: a record's log-density is
         bitwise identical whether scored alone, in a partial batch, or
         in a full batch with arbitrary companions."""
         matrix = np.stack([r.vector for r in records])
-        together = batched_log_densities(detector, matrix, pad_to=4)
+        together = padded_log_densities(detector, matrix)
         for i, row in enumerate(matrix):
-            alone = batched_log_densities(detector, row[None, :], pad_to=4)
+            alone = padded_log_densities(detector, row[None, :])
             assert alone[0] == together[i]
 
     def test_row_order_irrelevant(self, detector, records):
         matrix = np.stack([r.vector for r in records])
-        forward = batched_log_densities(detector, matrix, pad_to=4)
-        backward = batched_log_densities(detector, matrix[::-1], pad_to=4)
+        forward = padded_log_densities(detector, matrix)
+        backward = padded_log_densities(detector, matrix[::-1])
         np.testing.assert_array_equal(forward, backward[::-1])
 
     def test_matches_unbatched_scoring_closely(self, detector, records):
-        # Same kernels, different batch shapes: equal to rounding.
+        # Different batch shapes, and the scalar reference backend as
+        # the oracle: equal to rounding.
         matrix = np.stack([r.vector for r in records])
-        batched = batched_log_densities(detector, matrix, pad_to=4)
-        reference = detector.score_series(matrix)
+        batched = padded_log_densities(detector, matrix)
+        with kernels.use_backend("reference"):
+            reference = padded_log_densities(detector, matrix, pad_to=None)
         np.testing.assert_allclose(batched, reference, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(
+            batched, detector.score_series(matrix), rtol=1e-9, atol=1e-9
+        )
 
     def test_rejects_non_matrix(self, detector):
         with pytest.raises(ValueError, match="2-D"):
-            batched_log_densities(detector, np.zeros(8))
+            padded_log_densities(detector, np.zeros(8))
 
 
 class TestWorkerScoring:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import EXIT_ALARM, EXIT_JOB_FAILURES, EXIT_OK, build_parser, main
+from repro.obs.snapshots import latest_snapshots
 
 
 @pytest.fixture(scope="module")
@@ -546,8 +547,8 @@ class TestServeCommand:
     ):
         code, captured = self._run(
             [
-                "--policy", "drop-oldest", "--capacity", "4",
-                "--batch", "4", "--drain-per-step", "1",
+                "--policy", "drop-oldest", "--capacity", "2",
+                "--batch", "2",
             ],
             tmp_path, capsys,
         )
@@ -559,8 +560,7 @@ class TestServeCommand:
     def test_block_policy_under_throttle_exits_ok(self, tmp_path, capsys):
         code, _ = self._run(
             [
-                "--policy", "block", "--capacity", "4", "--batch", "4",
-                "--drain-per-step", "1",
+                "--policy", "block", "--capacity", "2", "--batch", "2",
             ],
             tmp_path, capsys,
         )
@@ -611,7 +611,7 @@ class TestServeCommand:
 
 
 class TestServeAsyncCLI:
-    """The async-executor flags added by the event-bus PR."""
+    """The event-bus flags: cadences, failures manifest, bus report."""
 
     TINY = TestServeCommand.TINY
     _run = TestServeCommand._run
@@ -621,7 +621,7 @@ class TestServeAsyncCLI:
     ):
         out = tmp_path / "fleet.json"
         code, _ = self._run(
-            ["--executor", "async", "--report-out", str(out)],
+            ["--report-out", str(out)],
             tmp_path, capsys,
         )
         assert code == EXIT_OK
@@ -634,7 +634,7 @@ class TestServeAsyncCLI:
         out = tmp_path / "fleet.json"
         code, _ = self._run(
             [
-                "--executor", "async", "--cadences", "1,2",
+                "--cadences", "1,2",
                 "--report-out", str(out),
             ],
             tmp_path, capsys,
@@ -644,18 +644,9 @@ class TestServeAsyncCLI:
         cadences = {d["cadence"] for d in payload["device_reports"]}
         assert cadences == {1, 2}
 
-    def test_cadences_under_lockstep_is_usage_error(
-        self, tmp_path, capsys
-    ):
-        code, captured = self._run(
-            ["--cadences", "1,2"], tmp_path, capsys
-        )
-        assert code == 2
-        assert "async" in captured.err
-
     def test_malformed_cadences_is_usage_error(self, tmp_path, capsys):
         code, captured = self._run(
-            ["--executor", "async", "--cadences", "1,x"],
+            ["--cadences", "1,x"],
             tmp_path, capsys,
         )
         assert code == 2
@@ -677,7 +668,7 @@ class TestServeAsyncCLI:
         failures_out = tmp_path / "failures.json"
         code, captured = self._run(
             [
-                "--executor", "async", "--fault-plan", str(plan),
+                "--fault-plan", str(plan),
                 "--failures-out", str(failures_out),
             ],
             tmp_path, capsys,
@@ -693,7 +684,7 @@ class TestServeAsyncCLI:
     ):
         failures_out = tmp_path / "failures.json"
         code, captured = self._run(
-            ["--executor", "async", "--failures-out", str(failures_out)],
+            ["--failures-out", str(failures_out)],
             tmp_path, capsys,
         )
         assert code == EXIT_OK
@@ -737,8 +728,8 @@ class TestServeTelemetryCLI:
         code, captured = self._run(
             [
                 "--health-out", str(health),
-                "--policy", "drop-oldest", "--capacity", "4",
-                "--batch", "4", "--drain-per-step", "1",
+                "--policy", "drop-oldest", "--capacity", "2",
+                "--batch", "2",
             ],
             tmp_path, capsys,
         )
@@ -771,6 +762,33 @@ class TestServeTelemetryCLI:
         assert "repro top" in captured.out
         assert "shard" in captured.out
         assert "scored" in captured.out
+
+    def test_top_frame_shows_queue_depth_and_latency_quantiles(
+        self, tmp_path, capsys
+    ):
+        snaps = tmp_path / "snaps"
+        code, _ = self._run(
+            [
+                "--metrics-out", str(tmp_path / "m.json"),
+                "--metrics-dir", str(snaps),
+            ],
+            tmp_path, capsys,
+        )
+        assert code == EXIT_OK
+        metrics = latest_snapshots(snaps)[0]["metrics"]
+        assert metrics['serve.shard.queue_depth{shard="0"}']["value"] > 0
+        quantiles = metrics['serve.shard.batch_latency_us{shard="0"}'][
+            "quantiles"
+        ]
+        assert all(quantiles[q] > 0 for q in ("p50", "p95", "p99"))
+        code = main(["top", "--once", str(snaps)])
+        frame = capsys.readouterr().out
+        assert code == EXIT_OK
+        lines = frame.splitlines()
+        header = next(i for i, line in enumerate(lines) if "p50" in line)
+        cells = [cell.strip() for cell in lines[header + 2].split("|")]
+        assert cells[4] != "0", frame  # depth
+        assert "-" not in cells[-3:], frame  # p50 / p95 / p99
 
     def test_top_on_empty_directory_renders_placeholder(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
