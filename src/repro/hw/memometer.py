@@ -21,13 +21,24 @@ This model is bit-exact at the level that matters:
   the secure core analyses buffer *i* land in buffer *1-i*.
 
 A scalar :meth:`Memometer.observe` reproduces the per-address datapath.
-Two batched paths sit on top of it:
+Batched paths sit on top of it:
 
-* :meth:`Memometer.observe_footprint` is the simulator's cell-space
-  path: a kernel-service invocation arrives as its per-step iteration
-  counts, and the increments are ``iters @ C`` over the footprint's
-  precompiled steps x cells count matrix
-  (:meth:`~repro.sim.kernel.footprint.CompiledFootprint.cell_counts`);
+* :meth:`Memometer.defer_footprint` is the simulator's cell-space
+  path.  A kernel-service invocation arrives as its footprint and the
+  raw ``standard_normal`` draw for its per-step iteration counts; the
+  Memometer only queues it.  :meth:`Memometer.flush_footprints` counts
+  everything queued in one go: one element-wise chain turns all the
+  draws of the interval into iteration counts, one ``bincount`` sums
+  them per footprint step, and one integer add scatters the step totals
+  into the cells through the footprints' precompiled steps x cells
+  count matrices
+  (:meth:`~repro.sim.kernel.footprint.CompiledFootprint.cell_counts`).
+  The queue is flushed at the interval boundary and before anything
+  reads or changes the Memometer's state, so no caller can see it;
+* :meth:`Memometer.observe_footprint` counts one invocation from its
+  iteration counts at once.  It is the oracle the deferred path is
+  tested against, and the path a flush replays through when the
+  saturating clamp may engage;
 * :meth:`Memometer.observe_burst` takes explicit addresses and routes
   through :func:`repro.kernels.count_cells`, so the ``REPRO_KERNELS``
   switch selects between the vectorised histogram (``np.bincount``
@@ -35,15 +46,19 @@ Two batched paths sit on top of it:
   simulator uses it for user-space slices and whenever an
   address-consuming probe (a cache model, a trace recorder) is attached.
 
-Both batched paths leave the buffers, the snoop statistics and every
+All batched paths leave the buffers, the snoop statistics and every
 ``memometer.*`` counter exactly equal for the same fetches; the
-differential suite holds them (and both kernels backends) to that.
+differential suites hold them (and both kernels backends) to that.
 
 Saturation is rare, so each memory carries an upper bound on its
 cells: the accesses accepted into it since its last reset.  While that
-bound stays at or below ``COUNTER_MAX`` no cell can saturate, and
-:meth:`Memometer.observe_footprint` adds its increments without the
-clamp; past it, the saturating clamp applies as in the hardware.
+bound stays at or below ``COUNTER_MAX`` no cell can saturate, so the
+increments are plain integer sums and their order does not matter:
+:meth:`Memometer.observe_footprint` adds without the clamp, and a flush
+may sum a whole interval at once.  A flush that would take the bound
+past ``COUNTER_MAX`` replays its queue in order through
+:meth:`Memometer.observe_footprint`, whose saturating clamp applies as
+in the hardware.
 """
 
 from __future__ import annotations
@@ -56,6 +71,7 @@ import numpy as np
 from .. import kernels, obs
 from ..core.mhm import MemoryHeatMap
 from ..core.spec import HeatMapSpec
+from ..sim.kernel.footprint import jitter_iterations
 from ..sim.trace import AccessBurst
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,6 +95,9 @@ COUNTER_BYTES = 4
 MAX_CELLS = MHM_MEMORY_BYTES // COUNTER_BYTES
 #: Saturation value of a cell counter.
 COUNTER_MAX = 2**32 - 1
+#: float64 represents every integer up to this bound exactly, so a
+#: flush may sum iteration counts as floats while the sums stay below it.
+_EXACT_FLOAT_SUM = 2**53
 
 
 class MemometerConfigError(ValueError):
@@ -168,7 +187,9 @@ class Memometer:
         logical right shift, saturating increment.  Returns whether the
         address passed the filter.
         """
-        self.snooped_accesses += weight
+        if self._pending:
+            self.flush_footprints()
+        self._snooped += weight
         self._metric_snooped.inc(weight)
         offset = address - self.registers.base_address
         if not 0 <= offset < self.registers.region_size:
@@ -182,14 +203,14 @@ class Memometer:
             self._metric_saturated.inc()
             summed = COUNTER_MAX
         buf[idx] = summed
-        self.accepted_accesses += weight
+        self._accepted += weight
         self._metric_accepted.inc(weight)
         return True
 
     def observe_burst(self, burst: AccessBurst) -> None:
         """Batched datapath: a burst of snooped addresses per kernel call."""
         total = int(burst.weights.sum())
-        self.snooped_accesses += total
+        self._snooped += total
         self._metric_snooped.inc(total)
         self._metric_bursts.inc()
         addresses = burst.addresses
@@ -203,6 +224,8 @@ class Memometer:
             # space): nothing to count.
             self._metric_filtered.inc(total)
             return
+        if self._pending:
+            self.flush_footprints()
         increments, accepted = kernels.count_cells(
             addresses,
             burst.weights,
@@ -222,35 +245,131 @@ class Memometer:
             if over.any():
                 self._metric_saturated.inc(int(over.sum()))
         np.minimum(summed, COUNTER_MAX, out=buf)
-        self.accepted_accesses += accepted
+        self._accepted += accepted
         self._metric_accepted.inc(accepted)
         self._metric_filtered.inc(total - accepted)
+
+    def defer_footprint(
+        self, footprint: "CompiledFootprint", z: np.ndarray, jitter_scale: float = 1.0
+    ) -> None:
+        """Cell-space datapath: queue one invocation of a footprint.
+
+        ``z`` is the invocation's ``standard_normal(footprint.num_steps)``
+        draw and ``jitter_scale`` the kernel's jitter scale; the
+        iteration counts are those ``footprint.sample_iterations`` makes
+        from the same draw.  ``z`` may be shared with other sinks
+        and is never written.  Nothing is counted until
+        :meth:`flush_footprints`, which every reader of the Memometer's
+        state calls first.
+        """
+        self._pending.append((footprint, z, jitter_scale))
+
+    def flush_footprints(self) -> None:
+        """Count every queued invocation, in queue order.
+
+        The draws are concatenated and run through the element-wise
+        chain of :func:`~repro.sim.kernel.footprint.jitter_iterations`
+        once, against ``jitters * jitter_scale`` and ``mean_iterations``
+        gathered per step from the step index space (each element the
+        same product and factor as in ``sample_iterations``), so every
+        iteration count equals the one ``sample_iterations`` gives for
+        the same draw.  ``bincount`` sums them per footprint step (exact:
+        the float sums are checked to stay below 2**53), the snoop
+        totals are two integer dot products, and one unbuffered integer
+        add over the (step, cell) pairs of every binned footprint adds
+        the cell increments.  Below ``COUNTER_MAX`` these integer sums
+        equal the per-invocation adds in any order.  If the flush would
+        take the active buffer's bound past ``COUNTER_MAX`` the queue is
+        replayed in order through :meth:`observe_footprint` instead, so
+        saturation happens exactly where it would have.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        footprints, draws, scales = zip(*pending)
+        steps_of = self._steps_of
+        for footprint in dict.fromkeys(footprints):
+            if footprint not in steps_of:
+                self._bin(footprint)
+        steps = np.concatenate(list(map(steps_of.__getitem__, footprints)))
+        scaled = self._step_jitters[steps]
+        if scales.count(scales[0]) == len(scales):
+            scaled *= scales[0]
+        else:
+            scaled *= np.repeat(scales, [len(z) for z in draws])
+        iters = jitter_iterations(
+            np.concatenate(draws), scaled, self._step_means[steps]
+        )
+        step_sums = np.bincount(steps, weights=iters, minlength=len(self._step_lengths))
+        if step_sums.max() < _EXACT_FLOAT_SUM:
+            step_totals = step_sums.astype(np.int64)
+            accepted = int(step_totals @ self._step_accepted)
+            active = self._active
+            filled = self._filled[active] + accepted
+            if filled <= COUNTER_MAX:
+                total = int(step_totals @ self._step_lengths)
+                self._snooped += total
+                self._accepted += accepted
+                if accepted:
+                    self._filled[active] = filled
+                    np.add.at(
+                        self._buffers[active],
+                        self._pair_cells,
+                        step_totals[self._pair_steps] * self._pair_counts,
+                    )
+                if self._counting:
+                    self._metric_snooped.inc(total)
+                    self._metric_bursts.inc(len(pending))
+                    self._metric_accepted.inc(accepted)
+                    self._metric_filtered.inc(total - accepted)
+                return
+        # The clamp may engage (or a float sum may not be exact): count
+        # each invocation on its own, in order.
+        counts = iters.astype(np.int64)
+        offset = 0
+        for footprint, z in zip(footprints, draws):
+            end = offset + len(z)
+            self.observe_footprint(footprint, counts[offset:end])
+            offset = end
+
+    def sync_metrics(self) -> None:
+        """Emit the ``memometer.*`` counts of queued invocations now.
+
+        A flush when metrics are on; nothing otherwise, since every
+        read of the Memometer's own state flushes first anyway.
+        """
+        if self._counting:
+            self.flush_footprints()
 
     def observe_footprint(
         self, footprint: "CompiledFootprint", iters: np.ndarray
     ) -> None:
-        """Cell-space datapath: one invocation of a compiled footprint.
+        """Immediate cell-space datapath: one invocation of a footprint.
 
         ``iters`` holds the invocation's per-step iteration counts.  The
         result is exactly that of :meth:`observe_burst` on the expanded
         burst ``(footprint.addresses, np.repeat(iters,
         footprint.step_lengths))``, saturation included, but the cell
         arithmetic was done once when the footprint was first binned.
+        The simulator queues invocations through :meth:`defer_footprint`
+        instead; this is the oracle for that path and its replay when
+        the clamp may engage.
 
         While the active buffer's bound (accesses accepted since its
         reset, this invocation's included) is at most ``COUNTER_MAX``,
         no cell can exceed it, so the clamp is skipped.
         """
-        binned = self._cell_counts.get(footprint)
+        if self._pending:
+            self.flush_footprints()
+        binned = self._binned.get(footprint)
         if binned is None:
-            binned = self._cell_counts[footprint] = footprint.cell_counts(
-                self.registers.base_address, self.registers.region_size, self.spec.shift
-            )
+            binned = self._bin(footprint)
         totals = iters @ binned.weights  # [snooped, accepted, per-cell...]
         total = int(totals[0])
         accepted = int(totals[1])
-        self.snooped_accesses += total
-        self.accepted_accesses += accepted
+        self._snooped += total
+        self._accepted += accepted
         saturated = 0
         if accepted:
             active = self._active
@@ -272,6 +391,32 @@ class Memometer:
             self._metric_filtered.inc(total - accepted)
             self._metric_saturated.inc(saturated)
 
+    def _bin(self, footprint: "CompiledFootprint") -> "CellCounts":
+        """Bin a footprint into this region and give its steps a slot in
+        the step index space (both fixed until the next reconfigure)."""
+        binned = footprint.cell_counts(
+            self.registers.base_address, self.registers.region_size, self.spec.shift
+        )
+        start = len(self._step_lengths)
+        self._binned[footprint] = binned
+        self._steps_of[footprint] = np.arange(
+            start, start + footprint.num_steps, dtype=np.intp
+        )
+        weights = binned.weights
+        self._step_lengths = np.concatenate([self._step_lengths, weights[:, 0]])
+        self._step_accepted = np.concatenate([self._step_accepted, weights[:, 1]])
+        self._step_jitters = np.concatenate([self._step_jitters, footprint.jitters])
+        self._step_means = np.concatenate(
+            [self._step_means, footprint.mean_iterations]
+        )
+        steps, columns = np.nonzero(weights[:, 2:])
+        self._pair_steps = np.concatenate([self._pair_steps, start + steps])
+        self._pair_cells = np.concatenate([self._pair_cells, binned.cells[columns]])
+        self._pair_counts = np.concatenate(
+            [self._pair_counts, weights[steps, 2 + columns]]
+        )
+        return binned
+
     # ------------------------------------------------------------------
     # Double buffering
     # ------------------------------------------------------------------
@@ -281,7 +426,20 @@ class Memometer:
 
     def active_counts(self) -> np.ndarray:
         """A *copy* of the in-progress MHM (diagnostics)."""
+        self.flush_footprints()
         return self._buffers[self._active].copy()
+
+    @property
+    def snooped_accesses(self) -> int:
+        """Accesses snooped since the last reset (diagnostics)."""
+        self.flush_footprints()
+        return self._snooped
+
+    @property
+    def accepted_accesses(self) -> int:
+        """Accesses that passed the region filter since the last reset."""
+        self.flush_footprints()
+        return self._accepted
 
     def interval_boundary(self, time_ns: int) -> MemoryHeatMap:
         """Swap buffers at a monitoring-interval boundary.
@@ -291,6 +449,7 @@ class Memometer:
         memory, already reset by the previous analysis phase, starts
         counting the new interval immediately.
         """
+        self.flush_footprints()
         completed_index = self._active
         self._active = 1 - self._active
         completed = self._buffers[completed_index]
@@ -340,7 +499,10 @@ class Memometer:
         granularities, or to point a spare Memometer at module space
         after a load event).  Reconfiguration resets both MHM memories
         and the interval counter; monitoring restarts cleanly.
+        Invocations queued before the write are counted first (in the
+        ``memometer.*`` totals) and then cleared with the memories.
         """
+        self.flush_footprints()
         self.registers = registers
         self.spec = registers.spec
         self._reset_memories()
@@ -355,19 +517,36 @@ class Memometer:
         # _filled[i]: accesses accepted into buffer i since its last
         # reset, an upper bound on every cell of that buffer.
         self._filled = [0, 0]
-        # Footprint -> its CellCounts for this region (the spec is
-        # fixed until the next reconfigure).
-        self._cell_counts: dict["CompiledFootprint", "CellCounts"] = {}
+        # Footprint -> its CellCounts for this region, and the indices
+        # of its steps in this Memometer's step index space (the spec
+        # is fixed until the next reconfigure).
+        self._binned: dict["CompiledFootprint", "CellCounts"] = {}
+        self._steps_of: dict["CompiledFootprint", np.ndarray] = {}
+        # Per step of that space: fetches and accepted fetches of one
+        # iteration, jitter and mean iterations.
+        self._step_lengths = np.zeros(0, dtype=np.int64)
+        self._step_accepted = np.zeros(0, dtype=np.int64)
+        self._step_jitters = np.zeros(0, dtype=np.float64)
+        self._step_means = np.zeros(0, dtype=np.float64)
+        # Every (step, cell) pair with fetches: one iteration of the
+        # step adds the pair's count to the cell.
+        self._pair_steps = np.zeros(0, dtype=np.intp)
+        self._pair_cells = np.zeros(0, dtype=np.intp)
+        self._pair_counts = np.zeros(0, dtype=np.int64)
+        # Invocations queued by defer_footprint, in order:
+        # (footprint, standard-normal draw, jitter scale).
+        self._pending: list = []
         self._active = 0
         self._interval_index = 0
         self._interval_start_ns = 0
         # Snoop statistics (diagnostics only; not architectural).
-        self.snooped_accesses = 0
-        self.accepted_accesses = 0
+        self._snooped = 0
+        self._accepted = 0
 
     @property
     def drop_rate(self) -> float:
         """Fraction of snooped accesses filtered out (user space etc.)."""
-        if self.snooped_accesses == 0:
+        snooped = self.snooped_accesses
+        if snooped == 0:
             return 0.0
-        return 1.0 - self.accepted_accesses / self.snooped_accesses
+        return 1.0 - self.accepted_accesses / snooped

@@ -34,6 +34,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import faults, kernels, obs
+
+# The default scoring backend (and scipy.linalg under it) loads with
+# the serving layer rather than inside the first scored batch, so
+# batch latencies measure scoring.  The reference backend stays lazy.
+from ..kernels import vectorized as _vectorized  # noqa: F401
 from ..learn.contexts import ContextDetector
 from ..learn.detector import MhmDetector
 from ..learn.ensemble import EnsembleConfig

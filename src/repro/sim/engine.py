@@ -17,6 +17,15 @@ before the handle and heap order is decided by C tuple comparison of
 two ints; handles themselves are never compared.  A periodic source
 pushes a fresh tuple per occurrence around the same handle, so one
 :meth:`Simulator.cancel` stops the recurrence.
+
+A callback that would schedule its own continuation at ``t`` may
+instead ask :meth:`Simulator.advance_inline` to move the clock there
+and carry on in place.  The engine agrees only inside
+:meth:`Simulator.run_until`, only when ``t`` is within the run's
+window and strictly before the head of the queue: exactly when the
+scheduled event would have been the next one popped.  An event already
+queued at ``t`` has a lower ``seq`` and runs first, so same-instant
+FIFO order is kept.  Each advance counts as one executed event.
 """
 
 from __future__ import annotations
@@ -65,6 +74,9 @@ class Simulator:
         self._queue: list[tuple[int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
+        # While running: the window end and the events run inline.
+        self._end_ns = 0
+        self._inline = 0
         registry = obs.metrics()
         self._metric_executed = registry.counter("sim.events_executed")
         self._metric_runs = registry.counter("sim.run_until_calls")
@@ -126,6 +138,29 @@ class Simulator:
         heapq.heappush(self._queue, (first, seq, handle))
         return handle
 
+    def advance_inline(self, time_ns: int) -> bool:
+        """Move the clock to ``time_ns`` in place of scheduling an event.
+
+        For a callback about to schedule its own next step at
+        ``time_ns``: if that event would be the next one to run, the
+        clock moves there, the call counts as one executed event and
+        True is returned; the caller then runs the step itself.  That
+        holds inside :meth:`run_until`, when ``time_ns`` is no later
+        than the run's end and strictly earlier than every queued event.
+        Otherwise nothing changes and False is returned; the caller
+        schedules as usual.
+        """
+        if time_ns < self.now:
+            raise ValueError(f"cannot advance into the past ({time_ns} < now={self.now})")
+        if not self._running or time_ns > self._end_ns:
+            return False
+        queue = self._queue
+        if queue and queue[0][0] <= time_ns:
+            return False
+        self.now = time_ns
+        self._inline += 1
+        return True
+
     @staticmethod
     def cancel(handle: EventHandle) -> None:
         """Cancel a pending event (safe to call more than once)."""
@@ -145,6 +180,8 @@ class Simulator:
         if self._running:
             raise RuntimeError("run_until called re-entrantly from a callback")
         self._running = True
+        self._end_ns = end_time_ns
+        self._inline = 0
         executed = 0
         queue = self._queue
         pop = heapq.heappop
@@ -158,6 +195,7 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
+        executed += self._inline
         self.now = end_time_ns
         self._metric_executed.inc(executed)
         self._metric_runs.inc()

@@ -16,6 +16,13 @@ steps x cells count matrix (:meth:`CompiledFootprint.cell_counts`).
 That is the paper's ``idx = (addr - base) >> log2 delta`` done once per
 footprint instead of once per fetch.
 
+An invocation's iteration counts come from one ``standard_normal``
+draw through the element-wise chain :func:`jitter_iterations`.  The
+chain is the same whether it runs over one invocation's draw
+(:meth:`CompiledFootprint.sample_iterations`) or over the draws of a
+whole interval concatenated (the Memometer's deferred flush), so both
+give the same counts to the bit.
+
 Per-invocation variation (loop trip counts, data-dependent paths) is
 modelled by jittering each step's iteration count, which is exactly the
 "small variations from one or more of these patterns" the paper's GMM
@@ -37,12 +44,35 @@ __all__ = [
     "CellCounts",
     "CompiledFootprint",
     "FootprintCompiler",
+    "jitter_iterations",
 ]
 
 #: Bytes between sampled fetch addresses inside a function body.  The
 #: MHM granularity is >= 512 B in every experiment, so a 16-byte sample
 #: stride loses nothing while keeping bursts small.
 FETCH_STRIDE = 16
+
+
+def jitter_iterations(
+    z: np.ndarray, scaled_jitters: np.ndarray, mean_iterations: np.ndarray
+) -> np.ndarray:
+    """Turn standard-normal draws into iteration counts, in place.
+
+    ``z *= scaled_jitters; z += 1; z *= mean_iterations``, then round
+    and floor at 1.  That is ``rng.normal(1.0, scaled_jitters) *
+    mean_iterations`` bit for bit: numpy computes ``normal`` as ``loc +
+    scale * z`` per element.  Every operation is element-wise, so the
+    result for an element does not depend on what else is in the array.
+    Keep the operation order: folding ``mean_iterations`` into the
+    scale first would round differently.  Returns ``z`` (float64,
+    integral values >= 1).
+    """
+    z *= scaled_jitters
+    z += 1.0
+    z *= mean_iterations
+    np.rint(z, out=z)
+    np.maximum(z, 1.0, out=z)
+    return z
 
 
 @dataclass(frozen=True)
@@ -162,19 +192,13 @@ class CompiledFootprint:
 
         The draw is bit-for-bit ``rng.normal(1.0, jitters *
         jitter_scale)``: numpy computes that as ``loc + scale * z`` per
-        element over ``standard_normal`` draws taken in order, so the
-        same arithmetic done in place on ``standard_normal(num_steps)``
+        element over ``standard_normal`` draws taken in order, so
+        :func:`jitter_iterations` over ``standard_normal(num_steps)``
         gives the same values and leaves the generator in the same
-        state, without ``normal``'s per-call broadcasting.  Keep the
-        operation order: folding ``mean_iterations`` into the scale
-        first would round differently.
+        state, without ``normal``'s per-call broadcasting.
         """
         z = rng.standard_normal(len(self.jitters))
-        z *= self.jitters * jitter_scale
-        z += 1.0
-        z *= self.mean_iterations
-        np.rint(z, out=z)
-        np.maximum(z, 1.0, out=z)
+        jitter_iterations(z, self.jitters * jitter_scale, self.mean_iterations)
         return z.astype(np.int64)
 
     def sample(

@@ -7,13 +7,16 @@ the Memometer ever observes flows through :meth:`Kernel._emit`.
 
 A service invocation reaches the probes by one of two paths, chosen
 when probes are attached or detached, never per burst.  When every
-attached probe implements ``observe_footprint`` (the pre-L1 Memometer,
-or several Memometers for multi-region monitoring) the kernel hands
-over the compiled footprint and its sampled per-step iteration counts,
-and the Memometer counts cells directly.  Otherwise (cache models,
-trace recorders) it expands the invocation into an
-:class:`~repro.sim.trace.AccessBurst` of fetch addresses.  Both paths
-make the same random draw, so the simulation is the same either way.
+attached probe implements ``defer_footprint`` (the pre-L1 Memometer,
+or several Memometers for multi-region monitoring) the kernel draws
+the invocation's ``standard_normal`` jitter and hands the compiled
+footprint and that draw to each probe, which counts cells later, at
+its next flush (the interval boundary at the latest).  The draw is
+shared between the probes and none of them writes it.  Otherwise
+(cache models, trace recorders) the kernel expands the invocation into
+an :class:`~repro.sim.trace.AccessBurst` of fetch addresses.  Both
+paths make the same random draw at the same point of the generator
+stream, so the simulation is the same either way.
 
 Syscall dispatch honours hijacked table entries (Scenario 3): the
 module-space wrapper's fetches are emitted (and filtered out by the
@@ -80,9 +83,10 @@ class Kernel:
         self.aslr = AslrState()
         self.modules = ModuleLoader(self)
         self._fanout = BurstFanout()
-        # ``observe_footprint`` of every attached probe while all of
+        # ``defer_footprint`` of every attached probe while all of
         # them take the cell-space path; None while any needs addresses.
         self._footprint_sinks: Optional[tuple] = ()
+        self._metric_syncs: tuple = ()
         #: Invocation counts by service name (diagnostics and tests).
         self.invocation_counts: dict[str, int] = {}
 
@@ -99,14 +103,32 @@ class Kernel:
         self._choose_path()
 
     def detach_probe(self, probe: TraceProbe) -> None:
+        """Detach a probe; it first counts every invocation it queued."""
+        flush = getattr(probe, "flush_footprints", None)
+        if flush is not None:
+            flush()
         self._fanout.detach(probe)
         self._choose_path()
 
     def _choose_path(self) -> None:
-        sinks = [getattr(p, "observe_footprint", None) for p in self._fanout.probes]
+        probes = self._fanout.probes
+        sinks = [getattr(p, "defer_footprint", None) for p in probes]
         self._footprint_sinks = (
             None if any(s is None for s in sinks) else tuple(sinks)
         )
+        self._metric_syncs = tuple(
+            p.sync_metrics for p in probes if hasattr(p, "sync_metrics")
+        )
+
+    def sync_probe_metrics(self) -> None:
+        """Bring the probes' metrics up to date (end of a run).
+
+        A Memometer counts queued invocations at its next flush, and
+        every read of its state flushes first; only its ``memometer.*``
+        counters can lag behind, which this settles.
+        """
+        for sync in self._metric_syncs:
+            sync()
 
     @property
     def uses_cell_path(self) -> bool:
@@ -119,9 +141,9 @@ class Kernel:
         name = kind or service.name
         if self._footprint_sinks is not None:
             footprint = service.footprint
-            iters = footprint.sample_iterations(self.rng, self.jitter_scale)
-            for observe in self._footprint_sinks:
-                observe(footprint, iters)
+            z = self.rng.standard_normal(len(footprint.jitters))
+            for defer in self._footprint_sinks:
+                defer(footprint, z, self.jitter_scale)
         else:
             addresses, weights = service.sample_burst(
                 self.rng, jitter_scale=self.jitter_scale

@@ -19,6 +19,12 @@ embedded policy that keeps the backlog bounded).  The paper's normal
 workload never misses; the qsort overload scenario may, which only
 amplifies the anomaly — exactly the paper's observation that "the
 timings of the other tasks are affected by qsort".
+
+A running job advances milestone by milestone (kernel-call offsets,
+kernel-segment ends, completion).  When the next milestone would be the
+engine's next event anyway, :meth:`~repro.sim.engine.Simulator.advance_inline`
+lets the scheduler run it in place instead of scheduling it; the order
+of events is the same either way.
 """
 
 from __future__ import annotations
@@ -288,28 +294,37 @@ class RMScheduler:
         )
 
     def _milestone(self, job: Job, stamp: int) -> None:
-        if self._current is not job or job.dispatch_stamp != stamp:
-            return  # stale event (job was preempted or removed)
-        self._current_event = None
-        self._charge_current()
+        sim = self.sim
+        while True:
+            if self._current is not job or job.dispatch_stamp != stamp:
+                return  # stale event (job was preempted or removed)
+            self._current_event = None
+            self._charge_current()
 
-        call = job.pending_call
-        if (
-            job.kernel_pending_ns == 0
-            and call is not None
-            and job.user_done_ns >= call.user_offset_ns
-        ):
-            job.next_call += 1
-            if call.via_table:
-                latency = self.kernel.invoke_syscall(call.service, core=self.core_id)
-            else:
-                latency = self.kernel.run_service(call.service, core=self.core_id)
-            job.begin_kernel_segment(latency)
+            call = job.pending_call
+            if (
+                job.kernel_pending_ns == 0
+                and call is not None
+                and job.user_done_ns >= call.user_offset_ns
+            ):
+                job.next_call += 1
+                if call.via_table:
+                    latency = self.kernel.invoke_syscall(call.service, core=self.core_id)
+                else:
+                    latency = self.kernel.run_service(call.service, core=self.core_id)
+                job.begin_kernel_segment(latency)
 
-        if job.is_complete:
-            self._complete(job)
-            return
-        self._schedule_milestone(job)
+            if job.is_complete:
+                self._complete(job)
+                return
+            # The next milestone runs in place when it would be the
+            # engine's next event anyway; else it is scheduled.
+            next_ns = sim.now + job.time_to_next_milestone()
+            if not sim.advance_inline(next_ns):
+                break
+        self._current_event = sim.schedule_at(
+            next_ns, self._milestone, job, job.dispatch_stamp
+        )
 
     def _complete(self, job: Job) -> None:
         job.completed_at_ns = self.sim.now

@@ -276,13 +276,20 @@ class Platform:
         return self.secure_core.intervals_received
 
     def run_for(self, duration_ns: int) -> None:
+        """Advance the simulation by ``duration_ns``.
+
+        The Memometers count service invocations at their next flush;
+        the run ends by settling their metrics, so the ``memometer.*``
+        counters are up to date whenever control returns to the caller.
+        """
         self.sim.run_for(duration_ns)
+        self.kernel.sync_probe_metrics()
 
     def run_intervals(self, count: int) -> None:
         """Advance the simulation by ``count`` monitoring intervals."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        self.sim.run_for(count * self.config.interval_ns)
+        self.run_for(count * self.config.interval_ns)
 
     def collect_intervals(self, count: int) -> HeatMapSeries:
         """Run ``count`` intervals and return *their* MHMs as a series."""

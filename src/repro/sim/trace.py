@@ -11,10 +11,10 @@ keeps the simulation tractable.
 Probes (:class:`TraceProbe`) subscribe to the stream; the Memometer's
 snoop port, the cache models and the test recorder all implement the
 same one-method interface.  A probe that only counts cells (the
-Memometer) may also implement ``observe_footprint(footprint, iters)``;
-while every attached probe does, the simulated kernel skips building
-address bursts for its service invocations (see
-:mod:`repro.sim.kernel.kernel`).
+Memometer) may also implement ``defer_footprint(footprint, z,
+jitter_scale)`` and ``flush_footprints()``; while every attached probe
+does, the simulated kernel skips building address bursts for its
+service invocations (see :mod:`repro.sim.kernel.kernel`).
 """
 
 from __future__ import annotations

@@ -131,3 +131,30 @@ class TestWorkerScoring:
         worker._skip(state, records[0])
         assert state.streak == 0
         assert state.flags[-1] == "skipped"
+
+
+def test_serve_import_loads_the_scoring_backend():
+    """``import repro.serve`` loads the default (vectorized) scoring
+    backend, so the first scored batch does not pay for that import;
+    the reference backend stays lazy."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_KERNELS")}
+    env["PYTHONPATH"] = str(root / "src")
+    script = (
+        "import sys, repro.serve; "
+        "print('repro.kernels.vectorized' in sys.modules, "
+        "'repro.kernels.reference' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert result.stdout.split() == ["True", "False"]

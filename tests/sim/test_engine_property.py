@@ -1,5 +1,6 @@
 """Property-based tests for the event engine (determinism guarantees)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,3 +193,138 @@ class TestTupleHeapOrder:
         sim.schedule_at(20, order.append, "late")  # scheduled after it
         sim.run_until(20)
         assert order == ["tick", "early", "tick", "late"]
+
+
+class _ChainReference(_ReferenceQueue):
+    """The reference queue with milestone chains: a chain entry, when it
+    fires, schedules its next step ``delta`` later, as a normal event."""
+
+    def run_until(self, end_ns, fired):
+        while True:
+            due = [e for e in self.entries if e[0] <= end_ns]
+            if not due:
+                break
+            entry = min(due, key=lambda e: (e[0], e[1]))
+            self.entries.remove(entry)
+            time_ns, _, label, chain = entry
+            if label in self.cancelled:
+                continue
+            self.now = time_ns
+            fired.append((time_ns, label))
+            if chain:
+                self.schedule(time_ns + chain[0], label, chain[1:])
+        self.now = end_ns
+
+
+chain_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), st.integers(0, 120)),
+        st.tuples(
+            st.just("chain"),
+            st.integers(0, 60),
+            st.lists(st.integers(0, 30), min_size=1, max_size=12),
+        ),
+        st.tuples(st.just("cancel"), st.integers(0, 2**16)),
+        st.tuples(st.just("run"), st.integers(0, 150)),
+    ),
+    max_size=40,
+)
+
+
+class TestInlineAdvance:
+    """``advance_inline`` runs a callback's continuation in place only
+    when the scheduled event would have been the next one anyway."""
+
+    @given(ops=chain_operations)
+    @settings(max_examples=200, deadline=None)
+    def test_chains_match_time_seq_reference(self, ops):
+        sim, ref = Simulator(), _ChainReference()
+        fired, ref_fired, handles = [], [], []
+        window = {"end": 0}
+        executed = []
+
+        def record(label):
+            fired.append((sim.now, label))
+
+        def chain_step(label, deltas):
+            # A milestone chain as the scheduler runs one: do the step,
+            # then continue in place while the engine allows it.
+            while True:
+                fired.append((sim.now, label))
+                if not deltas:
+                    return
+                next_ns, deltas = sim.now + deltas[0], deltas[1:]
+                if not sim.advance_inline(next_ns):
+                    break
+                assert next_ns <= window["end"]
+                assert all(entry[0] > next_ns for entry in sim._queue)
+            sim.schedule_at(next_ns, chain_step, label, deltas)
+
+        for op in ops:
+            label = len(handles)
+            if op[0] == "at":
+                handles.append(sim.schedule_at(sim.now + op[1], record, label))
+                ref.schedule(ref.now + op[1], label)
+            elif op[0] == "chain":
+                start, deltas = sim.now + op[1], tuple(op[2])
+                sim.schedule_at(start, chain_step, label, deltas)
+                handles.append(None)  # a chain's later steps have new handles
+                ref.schedule(start, label, deltas)
+            elif op[0] == "cancel" and any(handles):
+                targets = [i for i, handle in enumerate(handles) if handle]
+                target = targets[op[1] % len(targets)]
+                sim.cancel(handles[target])
+                ref.cancelled.add(target)
+            elif op[0] == "run":
+                window["end"] = sim.now + op[1]
+                before = len(ref_fired)
+                executed.append(sim.run_for(op[1]))
+                ref.run_until(ref.now + op[1], ref_fired)
+                assert executed[-1] == len(ref_fired) - before
+            assert sim.now == ref.now
+            assert fired == ref_fired
+        window["end"] = sim.now + 1000
+        sim.run_for(1000)
+        ref.run_until(ref.now + 1000, ref_fired)
+        assert fired == ref_fired
+
+    def test_refused_outside_a_run(self):
+        sim = Simulator()
+        assert not sim.advance_inline(0)
+        assert not sim.advance_inline(10)
+        assert sim.now == 0
+
+    def test_never_into_the_past(self):
+        sim = Simulator(start_time_ns=5)
+        with pytest.raises(ValueError):
+            sim.advance_inline(4)
+
+    def test_same_instant_event_runs_first(self):
+        """An event queued at ``t`` has a lower seq than the continuation
+        would get, so the continuation must be scheduled behind it."""
+        sim = Simulator()
+        order = []
+
+        def step():
+            order.append(("step", sim.now))
+            if sim.now == 0:
+                assert not sim.advance_inline(10)
+                sim.schedule_at(10, step)
+
+        sim.schedule_at(0, step)
+        sim.schedule_at(10, order.append, ("queued", 10))
+        assert sim.run_until(20) == 3
+        assert order == [("step", 0), ("queued", 10), ("step", 10)]
+
+    def test_window_end_is_inclusive(self):
+        sim = Simulator()
+        results = []
+
+        def step():
+            results.append(sim.advance_inline(20))
+            results.append(sim.advance_inline(21))
+
+        sim.schedule_at(5, step)
+        assert sim.run_until(20) == 2  # the event plus one inline advance
+        assert results == [True, False]
+        assert sim.now == 20
