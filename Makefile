@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-fast test-faults test-contexts test-bus bench bench-smoke bench-golden bench-kernels check report examples clean
+.PHONY: install test test-fast test-faults test-contexts test-bus test-sim bench bench-smoke bench-golden bench-kernels check report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -64,6 +64,20 @@ test-contexts:
 # the simulator clock), so it is safe at any parallelism.
 test-bus:
 	$(PYTHON) -m pytest tests/ -p no:cacheprovider -q -m bus -W "error:::repro"
+
+# The exact simulator suites under the ci hypothesis profile: frozen
+# per-interval goldens, the deferred Memometer flush and the cell-space
+# footprint path vs the address path, the standard_normal spellings vs
+# rng.normal, one draw per invocation vs separate draws, the array plan
+# draw and Job.advance vs the scalar code, user-slice misses vs
+# observe_burst, and O(1)-interval device streams.  Every fast path in
+# the simulator is held here to the code it replaced, with no tolerance.
+test-sim:
+	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -p no:cacheprovider -q -W "error:::repro" \
+	    tests/sim/test_golden_intervals.py tests/hw/test_deferred_flush.py \
+	    tests/hw/test_footprint_differential.py tests/sim/test_rng_spellings.py \
+	    tests/sim/test_fused_draw.py tests/sim/test_job_differential.py \
+	    tests/sim/test_user_slice.py tests/sim/test_stream_memory.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

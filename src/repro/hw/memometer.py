@@ -43,8 +43,12 @@ Batched paths sit on top of it:
   through :func:`repro.kernels.count_cells`, so the ``REPRO_KERNELS``
   switch selects between the vectorised histogram (``np.bincount``
   over the shifted offsets) and the scalar reference oracle.  The
-  simulator uses it for user-space slices and whenever an
-  address-consuming probe (a cache model, a trace recorder) is attached.
+  simulator uses it whenever an address-consuming probe (a cache
+  model, a trace recorder) is attached;
+* :meth:`Memometer.observe_miss` counts a burst known to miss the
+  region (:meth:`Memometer.misses` of its address span) from its
+  access total alone: exactly ``observe_burst``'s whole-burst miss
+  branch.  The simulator's user-space slices take it.
 
 All batched paths leave the buffers, the snoop statistics and every
 ``memometer.*`` counter exactly equal for the same fetches; the
@@ -249,6 +253,24 @@ class Memometer:
         self._metric_accepted.inc(accepted)
         self._metric_filtered.inc(total - accepted)
 
+    def misses(self, low: int, high: int) -> bool:
+        """Whether every address in ``[low, high]`` lies outside the region."""
+        base = self.registers.base_address
+        return high < base or low >= base + self.registers.region_size
+
+    def observe_miss(self, accesses: int) -> None:
+        """Count one burst of ``accesses`` fetches that misses the region.
+
+        The caller guarantees the miss (:meth:`misses` over the burst's
+        address span).  The snoop total and every ``memometer.*``
+        counter move exactly as :meth:`observe_burst` moves them for
+        such a burst; the buffers and the queue are untouched.
+        """
+        self._snooped += accesses
+        self._metric_snooped.inc(accesses)
+        self._metric_bursts.inc()
+        self._metric_filtered.inc(accesses)
+
     def defer_footprint(
         self, footprint: "CompiledFootprint", z: np.ndarray, jitter_scale: float = 1.0
     ) -> None:
@@ -257,10 +279,10 @@ class Memometer:
         ``z`` is the invocation's ``standard_normal(footprint.num_steps)``
         draw and ``jitter_scale`` the kernel's jitter scale; the
         iteration counts are those ``footprint.sample_iterations`` makes
-        from the same draw.  ``z`` may be shared with other sinks
-        and is never written.  Nothing is counted until
-        :meth:`flush_footprints`, which every reader of the Memometer's
-        state calls first.
+        from the same draw.  ``z`` may be a view into the invocation's
+        whole draw, is shared with other sinks and is never written.
+        Nothing is counted until :meth:`flush_footprints`, which every
+        reader of the Memometer's state calls first.
         """
         self._pending.append((footprint, z, jitter_scale))
 
@@ -453,9 +475,11 @@ class Memometer:
         completed_index = self._active
         self._active = 1 - self._active
         completed = self._buffers[completed_index]
+        # The constructor copies the int64 buffer once (np.asarray does
+        # not copy it), so the reset below leaves the heat map intact.
         heat_map = MemoryHeatMap(
             self.spec,
-            completed.copy(),
+            completed,
             interval_index=self._interval_index,
             start_time_ns=self._interval_start_ns,
         )
@@ -468,17 +492,18 @@ class Memometer:
         self._interval_index += 1
         self._interval_start_ns = time_ns
         self._metric_swaps.inc()
-        self._tracer.instant(
-            "memometer.buffer_swap",
-            time_ns,
-            category="hw",
-            args={
-                "interval_index": heat_map.interval_index,
-                "completed_buffer": completed_index,
-                "active_buffer": self._active,
-                "total_accesses": int(heat_map.counts.sum()),
-            },
-        )
+        if self._tracer.enabled:
+            self._tracer.instant(
+                "memometer.buffer_swap",
+                time_ns,
+                category="hw",
+                args={
+                    "interval_index": heat_map.interval_index,
+                    "completed_buffer": completed_index,
+                    "active_buffer": self._active,
+                    "total_accesses": int(heat_map.counts.sum()),
+                },
+            )
         if self.on_heatmap is not None:
             self.on_heatmap(heat_map)
         return heat_map

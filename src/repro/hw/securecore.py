@@ -4,7 +4,9 @@ In the SecureCore architecture [Yoon et al., RTAS 2013] one core of the
 dual-core processor is reserved for monitoring.  Here the secure core
 
 * receives each completed MHM from the Memometer at interval
-  boundaries and archives it;
+  boundaries and archives it (a consumer that handles each MHM as it
+  arrives may take it out again; see
+  :meth:`repro.sim.platform.Platform.take_interval`);
 * optionally scores it online with a fitted detector (the run-time
   configuration of Figures 7, 8 and 10);
 * accounts the *modelled* analysis time per MHM using a cost model
@@ -111,6 +113,7 @@ class SecureCore:
         #: passes the simulator clock); falls back to interval starts.
         self.clock = clock
         self.heatmaps: list[MemoryHeatMap] = []
+        self._received = 0
         self.online_results: list[OnlineResult] = []
         self._scorer: Optional[Callable[[MemoryHeatMap], tuple[float, bool]]] = None
         self._scorer_dims: tuple[int, int] = (0, 0)  # (L', J) for timing
@@ -146,6 +149,7 @@ class SecureCore:
         if heat_map.spec != self.spec:
             raise ValueError("received a heat map with a mismatched spec")
         self.heatmaps.append(heat_map)
+        self._received += 1
         self._metric_received.inc()
         if self._scorer is not None:
             verdict = self._scorer(heat_map)
@@ -203,7 +207,8 @@ class SecureCore:
 
     @property
     def intervals_received(self) -> int:
-        return len(self.heatmaps)
+        """MHMs received so far, whether or not still archived."""
+        return self._received
 
     def anomalous_intervals(self) -> list[int]:
         return [r.interval_index for r in self.online_results if r.is_anomalous]

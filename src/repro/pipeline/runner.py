@@ -60,7 +60,7 @@ import itertools
 import json
 import time
 import traceback as _traceback
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
 from concurrent.futures import wait as _futures_wait
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -70,6 +70,7 @@ import numpy as np
 
 from .. import faults, obs
 from ..faults import FaultPlan, uniform_hash
+from ..kernels.blas_threads import capped_process_pool
 from ..learn.detector import MhmDetector
 from ..learn.metrics import detection_latency, roc_auc_from_scores
 from ..sim.platform import Platform, PlatformConfig
@@ -732,7 +733,7 @@ class ExperimentRunner:
         ready: list = [(0.0, index, 0) for index in range(len(jobs_list))]
         heapq.heapify(ready)
         inflight: Dict = {}  # future -> (job_index, attempt, deadline)
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = capped_process_pool(workers)
         retired = []  # replaced pools, shut down without waiting
         try:
             while ready or inflight:
@@ -816,7 +817,7 @@ class ExperimentRunner:
                     registry.counter("runner.pool_replacements").inc()
                     retired.append(pool)
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = capped_process_pool(workers)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
             for old in retired:

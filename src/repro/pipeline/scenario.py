@@ -130,6 +130,7 @@ class ScenarioRunner:
         platform = self.platform
         interval_ns = platform.config.interval_ns
         start_index = platform.intervals_completed
+        archive_start = platform.archived_intervals
         events: list[ScenarioEvent] = []
 
         with span("scenario.pre"):
@@ -161,11 +162,11 @@ class ScenarioRunner:
             with span("scenario.post"):
                 platform.run_intervals(post_intervals)
 
-        series = platform.secure_core.series(start=start_index)
+        series = platform.secure_core.series(start=archive_start)
         return ScenarioResult(
             name=attack.name,
             series=series,
             events=events,
-            syscalls=platform.syscall_matrix(start=start_index),
+            syscalls=platform.syscall_matrix(start=archive_start),
             start_interval_index=start_index,
         )

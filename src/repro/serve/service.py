@@ -10,8 +10,10 @@
    backed) and exports the fitted parameters;
 3. partitions devices across ``shards`` (``index % shards``) and runs
    each shard — in-process for ``shards == 1``, in a
-   ``ProcessPoolExecutor`` otherwise.  A shard runs its devices'
-   streams on one :class:`~repro.serve.bus.EventBus`
+   ``ProcessPoolExecutor`` otherwise, whose children each get cores ÷
+   shards BLAS threads
+   (:func:`~repro.kernels.blas_threads.capped_process_pool`).  A shard
+   runs its devices' streams on one :class:`~repro.serve.bus.EventBus`
    (:func:`~repro.serve.async_exec.run_shard_async`): records flow
    through the scoring subscriber's bounded backpressure queue and
    are scored in full, fixed-shape cross-device batches;
@@ -30,12 +32,12 @@ and may differ; the scores of whatever was scored still match.)
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import faults, kernels, obs
 from ..faults.plan import FaultPlan
+from ..kernels.blas_threads import capped_process_pool
 from ..learn.ensemble import EnsembleConfig
 from ..obs.manifest import to_jsonable
 from ..obs.snapshots import SnapshotWriter
@@ -401,7 +403,7 @@ class FleetService:
                 )
             ]
         else:
-            with ProcessPoolExecutor(max_workers=config.shards) as pool:
+            with capped_process_pool(config.shards) as pool:
                 futures = [
                     pool.submit(
                         _run_shard, shard, shard_specs[shard], payload,

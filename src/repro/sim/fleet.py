@@ -260,6 +260,8 @@ class DeviceStream:
         The attack is scheduled "some moments after" the interval
         boundary (``inject_offset_fraction`` inside the interval),
         matching :class:`~repro.pipeline.scenario.ScenarioRunner`.
+        The interval is taken out of the platform as it is emitted, so
+        a stream's memory does not grow with its length.
         """
         spec = self.spec
         platform = self.platform
@@ -276,10 +278,8 @@ class DeviceStream:
                 platform.sim.schedule_at(
                     platform.now + offset, self.attack.revert, platform
                 )
-        start = platform.intervals_completed
         platform.run_intervals(1)
-        heat_map = platform.secure_core.series(start=start)[0]
-        syscalls = platform.syscall_matrix(start=start)[0]
+        heat_map, syscalls = platform.take_interval()
         self.emitted += 1
         trace = None
         if self._tracer.enabled:

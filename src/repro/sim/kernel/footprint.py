@@ -16,12 +16,13 @@ steps x cells count matrix (:meth:`CompiledFootprint.cell_counts`).
 That is the paper's ``idx = (addr - base) >> log2 delta`` done once per
 footprint instead of once per fetch.
 
-An invocation's iteration counts come from one ``standard_normal``
-draw through the element-wise chain :func:`jitter_iterations`.  The
-chain is the same whether it runs over one invocation's draw
-(:meth:`CompiledFootprint.sample_iterations`) or over the draws of a
-whole interval concatenated (the Memometer's deferred flush), so both
-give the same counts to the bit.
+An invocation's iteration counts come from its ``standard_normal``
+draw (one value per step, taken by the kernel as part of the
+invocation's single draw) through the element-wise chain
+:func:`jitter_iterations`.  The chain is the same whether it runs over
+one invocation's draw (:meth:`CompiledFootprint.sample_iterations`) or
+over the draws of a whole interval concatenated (the Memometer's
+deferred flush), so both give the same counts to the bit.
 
 Per-invocation variation (loop trip counts, data-dependent paths) is
 modelled by jittering each step's iteration count, which is exactly the
@@ -138,9 +139,10 @@ class CellCounts:
 class CompiledFootprint:
     """A footprint resolved to concrete fetch addresses.
 
-    ``sample_iterations(rng)`` draws one invocation's per-step jittered
-    iteration counts; ``sample(rng)`` expands the same draw into the
-    shared address vector plus a per-address weight vector.  ``mean()``
+    ``sample_iterations(z)`` turns one invocation's ``standard_normal``
+    draw into its per-step jittered iteration counts; ``sample(z)``
+    expands the same counts into the shared address vector plus a
+    per-address weight vector.  ``mean()``
     returns the deterministic expected burst, used by tests and by
     analytical checks.  The footprint is immutable, so its per-region
     :meth:`cell_counts` are computed once and cached.
@@ -158,6 +160,8 @@ class CompiledFootprint:
         self.step_lengths = np.asarray(step_lengths, dtype=np.int64)
         self.mean_iterations = np.asarray(mean_iterations, dtype=np.float64)
         self.jitters = np.asarray(jitters, dtype=np.float64)
+        #: Steps, and so ``standard_normal`` values per invocation.
+        self.num_steps = len(self.step_lengths)
         if self.step_lengths.sum() != len(self.addresses):
             raise ValueError("step lengths do not cover the address vector")
         if not (
@@ -171,10 +175,6 @@ class CompiledFootprint:
         self._cell_counts: dict[tuple[int, int, int], CellCounts] = {}
 
     @property
-    def num_steps(self) -> int:
-        return len(self.step_lengths)
-
-    @property
     def num_addresses(self) -> int:
         return len(self.addresses)
 
@@ -183,29 +183,33 @@ class CompiledFootprint:
         return float((self.step_lengths * self.mean_iterations).sum())
 
     def sample_iterations(
-        self, rng: np.random.Generator, jitter_scale: float = 1.0
+        self, z: np.ndarray, jitter_scale: float = 1.0
     ) -> np.ndarray:
         """One invocation's per-step iteration counts (int64, >= 1).
 
+        ``z`` is the invocation's ``standard_normal(num_steps)`` draw; it
+        may be a view into a larger draw and is never written.
         ``jitter_scale`` multiplies every step's jitter; an RTOS-like
         platform (deterministic loop bounds) uses a scale < 1.
 
-        The draw is bit-for-bit ``rng.normal(1.0, jitters *
-        jitter_scale)``: numpy computes that as ``loc + scale * z`` per
-        element over ``standard_normal`` draws taken in order, so
-        :func:`jitter_iterations` over ``standard_normal(num_steps)``
-        gives the same values and leaves the generator in the same
-        state, without ``normal``'s per-call broadcasting.
+        The counts are bit-for-bit ``rng.normal(1.0, jitters *
+        jitter_scale) * mean_iterations`` rounded: numpy computes
+        ``normal`` as ``loc + scale * z`` per element over
+        ``standard_normal`` draws taken in order, which is what
+        :func:`jitter_iterations` does with ``z``.
         """
-        z = rng.standard_normal(len(self.jitters))
-        jitter_iterations(z, self.jitters * jitter_scale, self.mean_iterations)
-        return z.astype(np.int64)
+        iters = jitter_iterations(
+            np.array(z, dtype=np.float64),
+            self.jitters * jitter_scale,
+            self.mean_iterations,
+        )
+        return iters.astype(np.int64)
 
     def sample(
-        self, rng: np.random.Generator, jitter_scale: float = 1.0
+        self, z: np.ndarray, jitter_scale: float = 1.0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One invocation: ``(addresses, weights)`` with jittered counts."""
-        iters = self.sample_iterations(rng, jitter_scale)
+        """One invocation from its draw: ``(addresses, weights)``."""
+        iters = self.sample_iterations(z, jitter_scale)
         return self.addresses, np.repeat(iters, self.step_lengths)
 
     def cell_counts(

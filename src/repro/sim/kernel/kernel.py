@@ -5,18 +5,30 @@ syscall table, ASLR state, module loader — and is the single point
 through which the simulation emits memory-access bursts.  Everything
 the Memometer ever observes flows through :meth:`Kernel._emit`.
 
+Every service invocation makes one ``standard_normal`` call for all
+of its randomness: the latency value and one value per footprint step
+(for a hijacked syscall, the wrapper's steps too), split into views in
+the order the values were once drawn one call at a time.  numpy fills
+an array draw element by element from the same generator, so
+``standard_normal(a)`` then ``standard_normal(b)`` give the values and
+generator state of ``standard_normal(a + b)``.
+
 A service invocation reaches the probes by one of two paths, chosen
 when probes are attached or detached, never per burst.  When every
 attached probe implements ``defer_footprint`` (the pre-L1 Memometer,
-or several Memometers for multi-region monitoring) the kernel draws
-the invocation's ``standard_normal`` jitter and hands the compiled
-footprint and that draw to each probe, which counts cells later, at
-its next flush (the interval boundary at the latest).  The draw is
-shared between the probes and none of them writes it.  Otherwise
-(cache models, trace recorders) the kernel expands the invocation into
-an :class:`~repro.sim.trace.AccessBurst` of fetch addresses.  Both
-paths make the same random draw at the same point of the generator
-stream, so the simulation is the same either way.
+or several Memometers for multi-region monitoring) the kernel hands
+the compiled footprint and the invocation's draw to each probe, which
+counts cells later, at its next flush (the interval boundary at the
+latest).  The draw is shared between the probes and none of them
+writes it.  Otherwise (cache models, trace recorders) the kernel
+expands the invocation into an :class:`~repro.sim.trace.AccessBurst`
+of fetch addresses.  Both paths consume the same draw, so the
+simulation is the same either way.
+
+User-space bursts lie outside the monitored kernel text.  When every
+attached probe can count a burst it filters out without seeing its
+addresses (``misses`` and ``observe_miss``, as the Memometer can),
+:meth:`Kernel.count_missed_burst` counts one without building it.
 
 Syscall dispatch honours hijacked table entries (Scenario 3): the
 module-space wrapper's fetches are emitted (and filtered out by the
@@ -86,6 +98,9 @@ class Kernel:
         # ``defer_footprint`` of every attached probe while all of
         # them take the cell-space path; None while any needs addresses.
         self._footprint_sinks: Optional[tuple] = ()
+        # The probes while every one of them can count a burst that
+        # misses its region without its addresses; None otherwise.
+        self._miss_probes: Optional[tuple] = ()
         self._metric_syncs: tuple = ()
         #: Invocation counts by service name (diagnostics and tests).
         self.invocation_counts: dict[str, int] = {}
@@ -116,6 +131,11 @@ class Kernel:
         self._footprint_sinks = (
             None if any(s is None for s in sinks) else tuple(sinks)
         )
+        self._miss_probes = (
+            tuple(probes)
+            if all(hasattr(p, "observe_miss") for p in probes)
+            else None
+        )
         self._metric_syncs = tuple(
             p.sync_metrics for p in probes if hasattr(p, "sync_metrics")
         )
@@ -136,18 +156,21 @@ class Kernel:
         return self._footprint_sinks is not None
 
     def _emit(
-        self, service: KernelService, kind: Optional[str] = None, core: int = 0
+        self,
+        service: KernelService,
+        z: np.ndarray,
+        kind: Optional[str] = None,
+        core: int = 0,
     ) -> None:
+        """Emit one invocation of ``service`` from its footprint draw
+        ``z`` (``footprint.num_steps`` values, never written)."""
         name = kind or service.name
         if self._footprint_sinks is not None:
             footprint = service.footprint
-            z = self.rng.standard_normal(len(footprint.jitters))
             for defer in self._footprint_sinks:
                 defer(footprint, z, self.jitter_scale)
         else:
-            addresses, weights = service.sample_burst(
-                self.rng, jitter_scale=self.jitter_scale
-            )
+            addresses, weights = service.sample_burst(z, self.jitter_scale)
             self._fanout.observe_burst(
                 AccessBurst(
                     time_ns=self.now,
@@ -173,6 +196,26 @@ class Kernel:
             )
         )
 
+    def count_missed_burst(self, low: int, high: int, accesses: int) -> bool:
+        """Count a burst whose addresses all lie in ``[low, high]``
+        without building it, if every probe filters that span out.
+
+        Each probe then counts ``accesses`` snooped and filtered fetches
+        in one burst, as its ``observe_burst`` would.  Returns False,
+        counting nothing, when some probe needs the addresses (a cache
+        model, a trace recorder) or its region overlaps the span; the
+        caller then emits the burst.
+        """
+        probes = self._miss_probes
+        if probes is None:
+            return False
+        for probe in probes:
+            if not probe.misses(low, high):
+                return False
+        for probe in probes:
+            probe.observe_miss(accesses)
+        return True
+
     # ------------------------------------------------------------------
     # Service invocation
     # ------------------------------------------------------------------
@@ -180,23 +223,36 @@ class Kernel:
         """Dispatch a system call through the (possibly patched) table.
 
         Returns the CPU time (ns) the call consumed on the monitored
-        core, which the scheduler charges to the calling job.
+        core, which the scheduler charges to the calling job.  The
+        draw is ``[latency, wrapper steps (if hijacked), handler steps]``.
         """
         service, hijack = self.syscall_table.resolve(name)
-        latency = service.sample_latency(self.rng)
-        if hijack is not None:
+        steps = service.footprint.num_steps
+        if hijack is None:
+            z = self.rng.standard_normal(1 + steps)
+            latency = service.sample_latency(z.item(0))
+        else:
+            wrapper = hijack.wrapper
+            wrapper_end = 1 + wrapper.footprint.num_steps
+            z = self.rng.standard_normal(wrapper_end + steps)
+            latency = service.sample_latency(z.item(0))
             # Wrapper first (module space, invisible to the MHM) ...
-            self._emit(hijack.wrapper, kind=f"hijack.{name}", core=core)
+            self._emit(wrapper, z[1:wrapper_end], kind=f"hijack.{name}", core=core)
             latency += hijack.extra_latency_ns
         # ... then the original handler, inside the monitored region.
-        self._emit(service, kind=f"syscall.{name}", core=core)
+        self._emit(service, z[-steps:], kind=f"syscall.{name}", core=core)
         return latency
 
     def run_service(self, name: str, core: int = 0) -> int:
-        """Run a housekeeping kernel path (tick, context switch, ...)."""
+        """Run a housekeeping kernel path (tick, context switch, ...).
+
+        The draw is ``[footprint steps, latency]``.
+        """
         service = self.services.get(name)
-        self._emit(service, core=core)
-        return service.sample_latency(self.rng)
+        steps = service.footprint.num_steps
+        z = self.rng.standard_normal(steps + 1)
+        self._emit(service, z[:steps], core=core)
+        return service.sample_latency(z.item(steps))
 
     # ------------------------------------------------------------------
     # Higher-level kernel operations used by scenarios

@@ -36,15 +36,22 @@ import numpy as np
 
 from ... import obs
 from ..engine import EventHandle, Simulator
-from ..task import Job, TaskDefinition
+from ..task import Job, KernelCall, TaskDefinition
 from .kernel import Kernel
 
 __all__ = ["TaskStats", "TaskControl", "RMScheduler"]
 
-#: Per-address weights of the token user-space burst every dispatch
-#: emits; shared and read-only, since no probe writes burst weights.
-_USER_SLICE_WEIGHTS = np.full(8, 4, dtype=np.int64)
+#: The token user-space burst every dispatch emits: 8 word offsets
+#: below 0x8000 from the task's user base, each fetched 4 times.
+_USER_SLICE_ADDRESSES = 8
+_USER_SLICE_WORDS = 0x8000
+#: Per-address weights of that burst; shared and read-only, since no
+#: probe writes burst weights.
+_USER_SLICE_WEIGHTS = np.full(_USER_SLICE_ADDRESSES, 4, dtype=np.int64)
 _USER_SLICE_WEIGHTS.setflags(write=False)
+_USER_SLICE_ACCESSES = int(_USER_SLICE_WEIGHTS.sum())
+#: Highest byte offset a slice address can have from the user base.
+_USER_SLICE_SPAN = (_USER_SLICE_WORDS - 1) * 4
 
 
 @dataclass
@@ -236,20 +243,24 @@ class RMScheduler:
 
     def _charge_current(self) -> None:
         """Account the CPU time the current job consumed since dispatch."""
-        job = self._current
-        if job is None:
-            return
-        elapsed = self.sim.now - self._dispatched_at
+        if self._current is not None:
+            self._charge(self._current)
+
+    def _charge(self, job: Job, invoke=None) -> int:
+        """Advance ``job`` by the CPU time since dispatch and account it;
+        with ``invoke``, also take the kernel call now due.  Returns
+        ``Job.advance``'s time to the next milestone (-1: complete)."""
+        now = self.sim.now
+        elapsed = now - self._dispatched_at
+        kernel_ns, next_ns = job.advance(elapsed, invoke)
         if elapsed > 0:
-            before_kernel = job.kernel_pending_ns
-            job.advance(elapsed)
             self.busy_ns += elapsed
-            kernel_part = before_kernel - job.kernel_pending_ns
             tcb = self._tasks.get(job.task.name)
             if tcb is not None:  # may be mid-removal (process exit)
-                tcb.stats.total_kernel_ns += kernel_part
-                tcb.stats.total_user_ns += elapsed - kernel_part
-            self._dispatched_at = self.sim.now
+                tcb.stats.total_kernel_ns += kernel_ns
+                tcb.stats.total_user_ns += elapsed - kernel_ns
+            self._dispatched_at = now
+        return next_ns
 
     def _cancel_current_event(self) -> None:
         if self._current_event is not None:
@@ -283,9 +294,22 @@ class RMScheduler:
         self._schedule_milestone(job)
 
     def _emit_user_slice(self, job: Job) -> None:
-        """A token user-space burst per dispatch (exercises the filter)."""
-        addresses = job.user_base + self.rng.integers(0, 0x8000, size=8) * 4
-        self.kernel.emit_user_burst(addresses, _USER_SLICE_WEIGHTS, core=self.core_id)
+        """A token user-space burst per dispatch (exercises the filter).
+
+        The offsets are drawn either way.  When every probe filters the
+        slice's whole span out, the kernel counts the miss without the
+        addresses.
+        """
+        words = self.rng.integers(
+            0, _USER_SLICE_WORDS, size=_USER_SLICE_ADDRESSES
+        )
+        base = job.user_base
+        if not self.kernel.count_missed_burst(
+            base, base + _USER_SLICE_SPAN, _USER_SLICE_ACCESSES
+        ):
+            self.kernel.emit_user_burst(
+                base + words * 4, _USER_SLICE_WEIGHTS, core=self.core_id
+            )
 
     def _schedule_milestone(self, job: Job) -> None:
         dt = job.time_to_next_milestone()
@@ -294,37 +318,30 @@ class RMScheduler:
         )
 
     def _milestone(self, job: Job, stamp: int) -> None:
+        if self._current is not job or job.dispatch_stamp != stamp:
+            return  # stale event (job was preempted or removed)
+        self._current_event = None
         sim = self.sim
+        invoke = self._invoke
         while True:
-            if self._current is not job or job.dispatch_stamp != stamp:
-                return  # stale event (job was preempted or removed)
-            self._current_event = None
-            self._charge_current()
-
-            call = job.pending_call
-            if (
-                job.kernel_pending_ns == 0
-                and call is not None
-                and job.user_done_ns >= call.user_offset_ns
-            ):
-                job.next_call += 1
-                if call.via_table:
-                    latency = self.kernel.invoke_syscall(call.service, core=self.core_id)
-                else:
-                    latency = self.kernel.run_service(call.service, core=self.core_id)
-                job.begin_kernel_segment(latency)
-
-            if job.is_complete:
+            next_ns = self._charge(job, invoke)
+            if next_ns < 0:
                 self._complete(job)
                 return
             # The next milestone runs in place when it would be the
             # engine's next event anyway; else it is scheduled.
-            next_ns = sim.now + job.time_to_next_milestone()
+            next_ns += sim.now
             if not sim.advance_inline(next_ns):
                 break
         self._current_event = sim.schedule_at(
             next_ns, self._milestone, job, job.dispatch_stamp
         )
+
+    def _invoke(self, call: KernelCall) -> int:
+        """Run a job's kernel call; returns its CPU latency."""
+        if call.via_table:
+            return self.kernel.invoke_syscall(call.service, core=self.core_id)
+        return self.kernel.run_service(call.service, core=self.core_id)
 
     def _complete(self, job: Job) -> None:
         job.completed_at_ns = self.sim.now

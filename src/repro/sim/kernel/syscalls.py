@@ -56,27 +56,28 @@ class KernelService:
     latency_jitter: float = 0.05
 
     def __post_init__(self) -> None:
-        # ``sample_latency`` draws through ``standard_normal``, which
+        # ``sample_latency`` scales a ``standard_normal`` value, which
         # (unlike ``rng.normal``) would accept a negative scale silently.
         if self.latency_jitter < 0:
             raise ValueError("latency_jitter must be non-negative")
 
-    def sample_latency(self, rng: np.random.Generator) -> int:
+    def sample_latency(self, z: float) -> int:
         """One invocation's CPU time (never below 10% of the mean).
 
-        Bit-for-bit ``rng.normal(latency_ns, latency_ns *
-        latency_jitter)``, which numpy computes as ``loc + scale * z``
-        from one ``standard_normal`` draw; spelled out, it skips
-        ``normal``'s per-call argument handling.
+        ``z`` is the invocation's ``standard_normal`` value for its
+        latency.  The result is bit-for-bit ``rng.normal(latency_ns,
+        latency_ns * latency_jitter)`` taken at the same point of the
+        stream, which numpy computes as ``loc + scale * z``.
         """
         latency = self.latency_ns
-        jittered = latency + latency * self.latency_jitter * rng.standard_normal()
+        jittered = latency + latency * self.latency_jitter * z
         return max(int(latency * 0.1), int(jittered))
 
     def sample_burst(
-        self, rng: np.random.Generator, jitter_scale: float = 1.0
+        self, z: np.ndarray, jitter_scale: float = 1.0
     ) -> tuple[np.ndarray, np.ndarray]:
-        return self.footprint.sample(rng, jitter_scale=jitter_scale)
+        """One invocation's fetches from its footprint draw ``z``."""
+        return self.footprint.sample(z, jitter_scale=jitter_scale)
 
 
 class ServiceRegistry:

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .. import obs
+from ..core.mhm import MemoryHeatMap
 from ..core.series import HeatMapSeries
 from ..core.spec import HeatMapSpec
 from ..hw.cache import L1_CONFIG, L2_CONFIG, CacheFilter, SetAssociativeCache
@@ -291,11 +292,32 @@ class Platform:
             raise ValueError("count must be non-negative")
         self.run_for(count * self.config.interval_ns)
 
+    @property
+    def archived_intervals(self) -> int:
+        """Intervals still in the archive: not yet removed by
+        :meth:`take_interval`.  Index into :meth:`syscall_matrix` and
+        ``secure_core.series`` with this, not with
+        :attr:`intervals_completed`."""
+        return len(self.secure_core.heatmaps)
+
     def collect_intervals(self, count: int) -> HeatMapSeries:
         """Run ``count`` intervals and return *their* MHMs as a series."""
-        start = self.secure_core.intervals_received
+        start = self.archived_intervals
         self.run_intervals(count)
         return self.secure_core.series(start=start)
+
+    def take_interval(self) -> tuple[MemoryHeatMap, np.ndarray]:
+        """Remove and return the latest interval's MHM and syscall row.
+
+        For a consumer that handles each interval as it completes (a
+        fleet device stream): taking every interval keeps the secure
+        core's archive and the syscall rows empty, so memory stays
+        constant however long the platform runs.  The interval count
+        (:attr:`intervals_completed`) is not affected.
+        """
+        if not self._syscall_rows:
+            raise LookupError("no completed interval left to take")
+        return self.secure_core.heatmaps.pop(), self._syscall_rows.pop()
 
     def heatmap_series(self) -> HeatMapSeries:
         """All MHMs collected since construction."""

@@ -15,8 +15,9 @@ service's fetch footprint at the invocation instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,6 +106,25 @@ class TaskDefinition:
             return self.user_text_base
         return USER_SPACE_BASE + (index + 1) * 0x0010_0000
 
+    @cached_property
+    def _call_plan(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """Per planned syscall, in declaration order: the centre
+        ``(i + 0.5) / count`` of its slot, its use's ``count`` and its
+        name (computed once per definition)."""
+        centres: list[float] = []
+        counts: list[float] = []
+        names: list[str] = []
+        for use in self.syscalls:
+            for i in range(use.count):
+                centres.append((i + 0.5) / use.count)
+                counts.append(float(use.count))
+                names.append(use.name)
+        return (
+            np.array(centres, dtype=np.float64),
+            np.array(counts, dtype=np.float64),
+            tuple(names),
+        )
+
     def with_phase(self, phase_ns: int) -> "TaskDefinition":
         from dataclasses import replace
 
@@ -116,8 +136,7 @@ class TaskDefinition:
         return replace(self, core=core)
 
 
-@dataclass(frozen=True)
-class KernelCall:
+class KernelCall(NamedTuple):
     """A scheduled kernel entry within a job's user-time.
 
     ``user_offset_ns`` is the amount of *user* execution after which the
@@ -171,79 +190,99 @@ class Job:
         self.user_base = user_base
 
     def _plan_calls(self, rng: np.random.Generator) -> list[KernelCall]:
-        """Place the job's kernel entries along its user timeline."""
-        calls: list[KernelCall] = []
+        """Place the job's kernel entries along its user timeline.
+
+        Syscall ``i`` of a use with ``count`` calls sits at fraction
+        ``(i + 0.5) / count + u / count`` of the user time, ``u`` drawn
+        from ``uniform(-0.3, 0.3)`` and the fraction clamped to [0.01,
+        0.99]; page faults sit at ``uniform(0.01, 0.99)``.  Each kind is
+        one array draw, which numpy fills element by element exactly as
+        the same number of scalar draws, and every element goes through
+        the same float operations a scalar loop makes.  ``astype``
+        truncates like ``int``, and the stable sort keeps declaration
+        order among equal offsets.
+        """
+        centres, counts, services = self.task._call_plan
         span = self.user_required_ns
-        for use in self.task.syscalls:
-            for i in range(use.count):
-                fraction = (i + 0.5) / use.count
-                fraction += rng.uniform(-0.3, 0.3) / use.count
-                fraction = min(0.99, max(0.01, fraction))
-                calls.append(
-                    KernelCall(
-                        user_offset_ns=int(fraction * span),
-                        service=use.name,
-                        via_table=True,
-                    )
-                )
+        offsets = np.empty(0, dtype=np.int64)
+        if services:
+            fractions = rng.uniform(-0.3, 0.3, size=len(services))
+            fractions /= counts
+            fractions += centres
+            np.clip(fractions, 0.01, 0.99, out=fractions)
+            fractions *= span
+            offsets = fractions.astype(np.int64)
         n_faults = int(rng.poisson(self.task.pagefaults_per_job))
-        for _ in range(n_faults):
-            offset = int(rng.uniform(0.01, 0.99) * span)
-            calls.append(
-                KernelCall(
-                    user_offset_ns=offset, service="kernel.page_fault", via_table=False
-                )
-            )
-        calls.sort(key=lambda c: c.user_offset_ns)
-        return calls
+        if n_faults:
+            faults = rng.uniform(0.01, 0.99, size=n_faults)
+            faults *= span
+            offsets = np.concatenate([offsets, faults.astype(np.int64)])
+            services = services + ("kernel.page_fault",) * n_faults
+        planned = len(centres)
+        offsets_ns = offsets.tolist()
+        return [
+            KernelCall(offsets_ns[i], services[i], i < planned)
+            for i in np.argsort(offsets, kind="stable").tolist()
+        ]
 
     # ------------------------------------------------------------------
     # Progress
     # ------------------------------------------------------------------
-    @property
-    def is_complete(self) -> bool:
-        return (
-            self.user_done_ns >= self.user_required_ns
-            and self.kernel_pending_ns == 0
-            and self.next_call >= len(self.calls)
-        )
+    def advance(
+        self,
+        elapsed_ns: int,
+        invoke: Optional[Callable[[KernelCall], int]] = None,
+    ) -> tuple[int, int]:
+        """Consume ``elapsed_ns`` of CPU and say what comes next.
 
-    @property
-    def pending_call(self) -> Optional[KernelCall]:
-        if self.next_call < len(self.calls):
-            return self.calls[self.next_call]
-        return None
+        The CPU goes to the pending kernel segment first, then to user
+        time (matching how the monitored core actually spends it).
+        With ``invoke``, the next kernel call is taken if it is now due
+        (no kernel segment pending and its offset reached):
+        ``invoke(call)`` runs it and returns its latency, which becomes
+        the new kernel segment.
 
-    def time_to_next_milestone(self) -> int:
-        """CPU time until the next event in this job's execution.
-
-        Milestones are, in order of precedence: finishing the current
-        kernel segment, reaching the next kernel-call offset, finishing
-        the job's user time.
+        Returns ``(kernel_ns, next_ns)``: the part of ``elapsed_ns``
+        spent in the kernel, and the CPU time until the next milestone,
+        or -1 once the job is complete.  Milestones are, in order of
+        precedence: finishing the current kernel segment, reaching the
+        next kernel-call offset, finishing the job's user time.
         """
-        if self.kernel_pending_ns > 0:
-            return self.kernel_pending_ns
-        call = self.pending_call
-        if call is not None:
-            return max(0, call.user_offset_ns - self.user_done_ns)
-        return self.user_required_ns - self.user_done_ns
-
-    def advance(self, elapsed_ns: int) -> None:
-        """Consume ``elapsed_ns`` of CPU: kernel segment first, then
-        user time (matching how the monitored core actually spends it)."""
         if elapsed_ns < 0:
             raise ValueError("cannot advance by negative time")
-        take = min(self.kernel_pending_ns, elapsed_ns)
-        self.kernel_pending_ns -= take
-        self.kernel_time_ns += take
-        remaining = elapsed_ns - take
-        if remaining > 0:
-            self.user_done_ns = min(
-                self.user_required_ns, self.user_done_ns + remaining
-            )
+        pending = self.kernel_pending_ns
+        required = self.user_required_ns
+        user_done = self.user_done_ns
+        kernel_ns = pending if pending < elapsed_ns else elapsed_ns
+        if kernel_ns:
+            pending -= kernel_ns
+            self.kernel_pending_ns = pending
+            self.kernel_time_ns += kernel_ns
+        if elapsed_ns > kernel_ns:
+            user_done += elapsed_ns - kernel_ns
+            if user_done > required:
+                user_done = required
+            self.user_done_ns = user_done
+        calls = self.calls
+        index = self.next_call
+        if not pending and invoke is not None and index < len(calls):
+            call = calls[index]
+            if user_done >= call.user_offset_ns:
+                self.next_call = index = index + 1
+                pending = self.kernel_pending_ns = max(0, invoke(call))
+        if pending:
+            return kernel_ns, pending
+        if index < len(calls):
+            gap = calls[index].user_offset_ns - user_done
+            return kernel_ns, gap if gap > 0 else 0
+        if user_done < required:
+            return kernel_ns, required - user_done
+        return kernel_ns, -1
 
-    def begin_kernel_segment(self, latency_ns: int) -> None:
-        self.kernel_pending_ns += max(0, latency_ns)
+    def time_to_next_milestone(self) -> int:
+        """CPU time until the next event in this job's execution (0
+        once it is complete); see :meth:`advance`."""
+        return max(0, self.advance(0)[1])
 
     @property
     def response_time_ns(self) -> Optional[int]:

@@ -14,7 +14,10 @@ same one-method interface.  A probe that only counts cells (the
 Memometer) may also implement ``defer_footprint(footprint, z,
 jitter_scale)`` and ``flush_footprints()``; while every attached probe
 does, the simulated kernel skips building address bursts for its
-service invocations (see :mod:`repro.sim.kernel.kernel`).
+service invocations (see :mod:`repro.sim.kernel.kernel`).  Likewise,
+while every probe implements ``misses(low, high)`` and
+``observe_miss(accesses)``, user-space bursts that miss every region
+are counted without being built.
 """
 
 from __future__ import annotations

@@ -131,7 +131,9 @@ def test_cell_path_equals_address_path(backend, case):
         _prefill(address, case["headroom"], np.random.default_rng(case["seed"]))
         rng = np.random.default_rng(case["seed"])
         for _ in range(case["invocations"]):
-            iters = footprint.sample_iterations(rng, case["jitter_scale"])
+            iters = footprint.sample_iterations(
+                rng.standard_normal(footprint.num_steps), case["jitter_scale"]
+            )
             cell.observe_footprint(footprint, iters)
             address.observe_burst(
                 AccessBurst(
@@ -150,8 +152,9 @@ def test_cell_path_equals_address_path(backend, case):
 def test_sample_is_expanded_sample_iterations(case):
     """Both paths consume the identical random draw."""
     footprint, scale = case["footprint"], case["jitter_scale"]
-    iters = footprint.sample_iterations(np.random.default_rng(case["seed"]), scale)
-    addresses, weights = footprint.sample(np.random.default_rng(case["seed"]), scale)
+    z = np.random.default_rng(case["seed"]).standard_normal(footprint.num_steps)
+    iters = footprint.sample_iterations(z, scale)
+    addresses, weights = footprint.sample(z, scale)
     np.testing.assert_array_equal(addresses, footprint.addresses)
     np.testing.assert_array_equal(weights, np.repeat(iters, footprint.step_lengths))
 
@@ -285,7 +288,9 @@ def test_bound_crossing_equals_address_path(case, fraction, pick):
     regs, footprint = case["registers"], case["footprint"]
     rng = np.random.default_rng(case["seed"])
     iters_seq = [
-        footprint.sample_iterations(rng, case["jitter_scale"])
+        footprint.sample_iterations(
+            rng.standard_normal(footprint.num_steps), case["jitter_scale"]
+        )
         for _ in range(case["invocations"] + 2)
     ]
     binned = footprint.cell_counts(regs.base_address, regs.region_size, regs.spec.shift)

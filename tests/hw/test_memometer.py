@@ -417,7 +417,9 @@ class TestFilledBound:
             kernel.services.get(name).footprint for name in kernel.services.names()
         ]
         invocations = [
-            (fp, fp.sample_iterations(rng)) for fp in footprints for _ in range(3)
+            (fp, fp.sample_iterations(rng.standard_normal(fp.num_steps)))
+            for fp in footprints
+            for _ in range(3)
         ]
         reused = Memometer(kernel_registers(2048))
         for footprint, iters in invocations:

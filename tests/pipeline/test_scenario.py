@@ -90,3 +90,16 @@ class TestRun:
         )
         assert len(result.series) == 6
         assert result.series[0].interval_index == 7
+
+    def test_series_after_a_drained_history(self):
+        platform = Platform(PlatformConfig(seed=5))
+        platform.run_intervals(7)
+        for _ in range(4):  # a stream consumer took these out
+            platform.take_interval()
+        result = ScenarioRunner(platform).run(
+            ShellcodeAttack(), pre_intervals=3, attack_intervals=3
+        )
+        assert len(result.series) == 6
+        assert result.syscalls.shape[0] == 6
+        assert result.start_interval_index == 7
+        assert [m.interval_index for m in result.series] == list(range(7, 13))

@@ -105,7 +105,7 @@ class TestSampling:
                 FootprintStep(function="memcpy", iterations=5.0),
             ]
         )
-        addresses, weights = footprint.sample(rng)
+        addresses, weights = footprint.sample(rng.standard_normal(footprint.num_steps))
         assert addresses.shape == weights.shape
         assert (weights >= 1).all()
 
@@ -116,7 +116,7 @@ class TestSampling:
                 FootprintStep(function="memcpy", iterations=9.0),
             ]
         )
-        _, weights = footprint.sample(rng)
+        _, weights = footprint.sample(rng.standard_normal(footprint.num_steps))
         lengths = footprint.step_lengths
         first = weights[: lengths[0]]
         second = weights[lengths[0] :]
@@ -127,7 +127,7 @@ class TestSampling:
         footprint = compiler.compile(
             [FootprintStep(function="sys_read", iterations=3.0, jitter=0.0)]
         )
-        _, weights = footprint.sample(rng)
+        _, weights = footprint.sample(rng.standard_normal(footprint.num_steps))
         assert (weights == 3).all()
 
     def test_mean_burst_is_deterministic(self, compiler):
@@ -162,7 +162,7 @@ class TestSampling:
         )
         rng = np.random.default_rng(0)
         for _ in range(20):
-            _, weights = footprint.sample(rng)
+            _, weights = footprint.sample(rng.standard_normal(footprint.num_steps))
             assert (weights >= 1).all()
 
 

@@ -1,7 +1,7 @@
 """Differential suite: the simulator's random draws vs ``rng.normal``.
 
 ``CompiledFootprint.sample_iterations`` and ``KernelService.sample_latency``
-draw through ``rng.standard_normal`` and do numpy's ``loc + scale * z``
+take ``rng.standard_normal`` values and do numpy's ``loc + scale * z``
 arithmetic themselves.  Every digest depends on that being the very draw
 ``rng.normal`` made, so each spelling is checked against a reference that
 calls ``rng.normal`` directly: identical values and an identical
@@ -78,7 +78,9 @@ def test_sample_iterations_is_rng_normal_draw(case):
     ours = np.random.default_rng(case["seed"])
     reference = np.random.default_rng(case["seed"])
     for _ in range(case["draws"]):
-        got = footprint.sample_iterations(ours, case["jitter_scale"])
+        got = footprint.sample_iterations(
+            ours.standard_normal(footprint.num_steps), case["jitter_scale"]
+        )
         want = _reference_iterations(footprint, reference, case["jitter_scale"])
         assert got.dtype == want.dtype == np.int64
         np.testing.assert_array_equal(got, want)
@@ -102,7 +104,8 @@ def test_sample_latency_is_rng_normal_draw(latency_ns, latency_jitter, seed, dra
     ours = np.random.default_rng(seed)
     reference = np.random.default_rng(seed)
     for _ in range(draws):
-        assert service.sample_latency(ours) == _reference_latency(service, reference)
+        got = service.sample_latency(ours.standard_normal())
+        assert got == _reference_latency(service, reference)
     assert _state(ours) == _state(reference)
 
 
@@ -118,10 +121,12 @@ def test_default_services_draw_like_rng_normal():
     for scale in JITTER_SCALES:
         for service in services:
             np.testing.assert_array_equal(
-                service.footprint.sample_iterations(ours, scale),
+                service.footprint.sample_iterations(
+                    ours.standard_normal(service.footprint.num_steps), scale
+                ),
                 _reference_iterations(service.footprint, reference, scale),
             )
-            assert service.sample_latency(ours) == _reference_latency(
+            assert service.sample_latency(ours.standard_normal()) == _reference_latency(
                 service, reference
             )
     assert _state(ours) == _state(reference)

@@ -103,8 +103,8 @@ class TestJobProgress:
 
     def test_fresh_job_incomplete(self, rng):
         job = self._job(rng)
-        assert not job.is_complete
-        assert job.pending_call is not None
+        assert job.advance(0)[1] >= 0
+        assert job.next_call == 0 < len(job.calls)
 
     def test_milestone_is_next_call(self, rng):
         job = self._job(rng)
@@ -112,7 +112,7 @@ class TestJobProgress:
 
     def test_advance_consumes_kernel_first(self, rng):
         job = self._job(rng)
-        job.begin_kernel_segment(100)
+        job.kernel_pending_ns = 100
         job.advance(150)
         assert job.kernel_pending_ns == 0
         assert job.kernel_time_ns == 100
@@ -120,7 +120,7 @@ class TestJobProgress:
 
     def test_advance_partial_kernel(self, rng):
         job = self._job(rng)
-        job.begin_kernel_segment(100)
+        job.kernel_pending_ns = 100
         job.advance(40)
         assert job.kernel_pending_ns == 60
         assert job.user_done_ns == 0
@@ -131,8 +131,7 @@ class TestJobProgress:
 
     def test_completion_path(self, rng):
         job = self._job(rng, syscalls=())
-        job.advance(job.user_required_ns)
-        assert job.is_complete
+        assert job.advance(job.user_required_ns)[1] == -1
         assert job.time_to_next_milestone() == 0
 
     def test_user_time_does_not_overshoot(self, rng):
