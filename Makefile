@@ -25,7 +25,7 @@ COVFLAGS := $(shell $(PYTHON) -c "import pytest_cov" >/dev/null 2>&1 \
 # Tests marked @pytest.mark.slow (exhaustive sweeps, end-to-end monitor
 # runs) are skipped here; `make test` and CI's full job still run them.
 # The fused fleet-kernel differential suite (tests/kernels/test_fused.py
-# — float64 bitwise pins, float32 ULP budget, padding purity) is
+# — float64 bitwise pins, oracle differential, padding purity) is
 # unmarked and therefore part of this tier.
 test-fast:
 	$(PYTHON) tools/check_log_schema.py src

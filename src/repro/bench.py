@@ -11,8 +11,7 @@ reference oracle; see ``SPEEDUP_FLOORS`` — ≥3x on Memometer counting,
 ≥5x on GMM batch scoring, ≥50x on the BLAS-bound batch kernels, ≥25x
 on the fused fleet path, ≥30x end-to-end).  The report additionally
 carries a ``fleet_throughput`` block: devices/sec through the fused
-path under both compute dtypes (and per 10 ms paper interval), with
-the measured float32 ULP maxima recorded next to the budget.
+float64 path (and per 10 ms paper interval).
 
 Problem sizes follow the paper/EXPERIMENTS.md scales: the monitored
 region is the prototype's 1,472-cell kernel ``.text`` map, a full
@@ -277,7 +276,7 @@ def _fleet_fixture(n: int, rng):
     )
 
 
-def _fused_call(module, fx: dict, dtype: str):
+def _fused_call(module, fx: dict):
     return module.fleet_score_batch(
         fx["matrix"],
         fx["mean"],
@@ -286,7 +285,6 @@ def _fused_call(module, fx: dict, dtype: str):
         fx["means"],
         fx["cholesky_factors"],
         pad_to=32,
-        dtype=dtype,
         syscalls=fx["syscalls"],
         centers=fx["centers"],
         scales=fx["scales"],
@@ -298,8 +296,8 @@ def _fused_call(module, fx: dict, dtype: str):
 def _bench_fleet_score(
     n: int, repeats: int, sha: str, rng
 ) -> tuple[BenchResult, dict]:
-    """The fused cross-device hot path, plus the fleet-throughput and
-    float32-accuracy extras for the report payload.
+    """The fused cross-device hot path, plus the fleet-throughput
+    extras for the report payload.
 
     Throughput is quoted as devices/sec and as devices sustainable at
     the paper's 10 ms monitoring interval (each device contributes one
@@ -308,38 +306,16 @@ def _bench_fleet_score(
     fx = _fleet_fixture(n, rng)
     vec = kernels.backend_module("vectorized")
     ref = kernels.backend_module("reference")
-    vec_s = _time_vectorized(lambda: _fused_call(vec, fx, "float64"), repeats)
-    ref_s = _time_reference(lambda: _fused_call(ref, fx, "float64"))
-    f32_s = _time_vectorized(lambda: _fused_call(vec, fx, "float32"), repeats)
-    oracle_d, oracle_c, _ = ref.fleet_score_batch(
-        fx["matrix"], fx["mean"], fx["components"], fx["weights"],
-        fx["means"], fx["cholesky_factors"], pad_to=32, dtype="float64",
-        syscalls=fx["syscalls"], centers=fx["centers"], scales=fx["scales"],
-        phase_means=fx["phase_means"], phases=fx["phases"],
-    )
-    fast_d, fast_c, _ = _fused_call(vec, fx, "float32")
-
-    def throughput(wall_s: float) -> dict:
-        rate = n / wall_s if wall_s > 0 else float("inf")
-        return {
-            "wall_s": wall_s,
-            "devices_per_sec": rate,
-            "devices_per_10ms_interval": rate * 0.01,
-        }
-
+    vec_s = _time_vectorized(lambda: _fused_call(vec, fx), repeats)
+    ref_s = _time_reference(lambda: _fused_call(ref, fx))
+    rate = n / vec_s if vec_s > 0 else float("inf")
     extras = {
         "batch_rows": n,
         "pad_to": 32,
-        "float64": throughput(vec_s),
-        "float32": {
-            **throughput(f32_s),
-            "max_ulp_error_log_density": float(
-                kernels.float32_ulp_error(fast_d, oracle_d).max()
-            ),
-            "max_ulp_error_context_score": float(
-                kernels.float32_ulp_error(fast_c, oracle_c).max()
-            ),
-            "ulp_budget": kernels.FLOAT32_ULP_BUDGET,
+        "float64": {
+            "wall_s": vec_s,
+            "devices_per_sec": rate,
+            "devices_per_10ms_interval": rate * 0.01,
         },
     }
     return _result("fleet_score_batch", n, vec_s, ref_s, sha), extras
@@ -414,7 +390,7 @@ def run_benchmarks(
     """Time every kernel (both backends) and the end-to-end pipeline.
 
     Returns ``(results, extras)``: the per-kernel rows plus the
-    fleet-throughput / float32-accuracy payload measured alongside the
+    fleet-throughput payload measured alongside the
     ``fleet_score_batch`` row.
     """
     rng = np.random.default_rng(seed)

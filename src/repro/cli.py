@@ -95,7 +95,7 @@ import sys
 
 import numpy as np
 
-from . import kernels, obs
+from . import obs
 from .conformance.matrix import SIZINGS as _SIZINGS
 from .conformance.matrix import build_matrix
 from .faults import FaultPlan
@@ -526,11 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--ensemble-rule", choices=ENSEMBLE_RULES, default="or",
         help="ensemble fusion rule (default or)",
-    )
-    serve.add_argument(
-        "--dtype", choices=kernels.DTYPES, default=None,
-        help="fused-kernel compute dtype: float64 (default; shipped "
-        "digests) or float32 (fast path, ULP-bounded)",
     )
     serve.add_argument(
         "--alarm-consecutive", type=int, default=3,
@@ -1075,16 +1070,12 @@ def _cmd_bench(args) -> int:
         )
         fleet = payload.get("fleet_throughput")
         if fleet:
-            f64, f32 = fleet["float64"], fleet["float32"]
+            f64 = fleet["float64"]
             print(
                 f"fleet throughput (pad_to={fleet['pad_to']}, "
                 f"batch={fleet['batch_rows']} rows): "
                 f"float64 {f64['devices_per_sec']:,.0f} devices/s "
-                f"({f64['devices_per_10ms_interval']:,.0f} @ 10 ms), "
-                f"float32 {f32['devices_per_sec']:,.0f} devices/s "
-                f"({f32['devices_per_10ms_interval']:,.0f} @ 10 ms, "
-                f"max {f32['max_ulp_error_log_density']:.1f} ULP "
-                f"of budget {f32['ulp_budget']:.0f})"
+                f"({f64['devices_per_10ms_interval']:,.0f} @ 10 ms)"
             )
     failures = check_regressions(results)
     if failures:
@@ -1250,7 +1241,6 @@ def _render_fleet_report(report: FleetReport) -> str:
         ("seed", report.seed),
         ("policy", report.policy),
         ("kernels backend", report.kernels_backend),
-        ("kernels dtype", report.kernels_dtype),
         ("emitted", report.emitted),
         ("scored", report.scored),
         ("skipped", report.skipped),
@@ -1360,7 +1350,6 @@ def _cmd_serve(args) -> int:
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             modality=args.modality,
-            kernels_dtype=args.dtype,
             ensemble=EnsembleConfig(
                 p_percent=args.quantile,
                 mhm_share=args.mhm_share,

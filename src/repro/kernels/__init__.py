@@ -34,12 +34,9 @@ immediately.  ``repro.bench`` times each kernel under both backends
 and records the speedups in ``BENCH_kernels.json``.
 
 The fused fleet-scoring path (:func:`fleet_score_batch` /
-:class:`FleetScorer`) additionally honours a *compute dtype*,
-selected with ``REPRO_KERNELS_DTYPE`` (``float64`` — the default and
-the shipped digest path — or ``float32``, an opt-in fast path on the
-vectorized backend whose error against the float64 oracle is bounded
-by :data:`FLOAT32_ULP_BUDGET`).  The scalar reference backend always
-computes in float64: it *is* the accuracy oracle.
+:class:`FleetScorer`) computes in float64 on both backends, so every
+shipped digest comes from one precision; the scalar reference
+backend is its independent oracle.
 """
 
 from __future__ import annotations
@@ -55,17 +52,10 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "ENV_VAR",
-    "DTYPES",
-    "DEFAULT_DTYPE",
-    "DTYPE_ENV_VAR",
-    "FLOAT32_ULP_BUDGET",
     "KernelBackendError",
     "active_backend",
     "set_backend",
     "use_backend",
-    "active_dtype",
-    "set_dtype",
-    "use_dtype",
     "backend_module",
     "count_cells",
     "project_batch",
@@ -76,7 +66,6 @@ __all__ = [
     "nearest_context_batch",
     "logsumexp",
     "safe_log_weights",
-    "float32_ulp_error",
     "FleetScores",
     "fleet_score_batch",
     "FleetScorer",
@@ -89,30 +78,8 @@ ENV_VAR = "REPRO_KERNELS"
 #: Backend used when neither an override nor the env var is set.
 DEFAULT_BACKEND = "vectorized"
 
-#: Recognised fused-path compute dtypes.
-DTYPES = ("float64", "float32")
-#: Environment variable that selects the fused-path compute dtype.
-DTYPE_ENV_VAR = "REPRO_KERNELS_DTYPE"
-#: Dtype used when neither an override nor the env var is set.  The
-#: float64 default is the digest-bearing path: its results are
-#: bit-identical to the unfused kernel chain.
-DEFAULT_DTYPE = "float64"
-
-#: Maximum allowed float32 fast-path error, in float32 ULPs of the
-#: float64 oracle result (see :func:`float32_ulp_error`).  Measured
-#: maxima on realistic device batches sit around a few hundred ULPs
-#: (dominated by cancellation in the 1,472-term projection dot
-#: products); the budget leaves an order-of-magnitude margin while
-#: still catching any float64 intermediate accidentally dropped to
-#: bfloat16-class precision.  ``tests/kernels/test_fused.py`` enforces
-#: it; ``repro bench`` records the measured maximum next to it.
-FLOAT32_ULP_BUDGET = 4096.0
-
 #: Process-wide programmatic override (survives env changes).
 _override: Optional[str] = None
-
-#: Process-wide programmatic dtype override (survives env changes).
-_dtype_override: Optional[str] = None
 
 
 class KernelBackendError(ValueError):
@@ -160,52 +127,6 @@ def use_backend(name: str):
         yield
     finally:
         _override = previous
-
-
-def _validate_dtype(name: str) -> str:
-    name = str(name).strip().lower()
-    if name not in DTYPES:
-        raise KernelBackendError(
-            f"unknown kernels dtype {name!r}; choose from {list(DTYPES)} "
-            f"(set via the {DTYPE_ENV_VAR} environment variable or "
-            f"repro.kernels.set_dtype)"
-        )
-    return name
-
-
-def active_dtype() -> str:
-    """The compute dtype the fused fleet path will use right now."""
-    if _dtype_override is not None:
-        return _dtype_override
-    raw = os.environ.get(DTYPE_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_DTYPE
-    return _validate_dtype(raw)
-
-
-def set_dtype(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide dtype override.
-
-    The override takes precedence over the ``REPRO_KERNELS_DTYPE``
-    environment variable.  It does **not** cross process boundaries —
-    pool children inherit only the environment variable, which is why
-    :class:`repro.serve.service.ServeConfig` resolves the dtype in the
-    parent and ships it to every shard explicitly.
-    """
-    global _dtype_override
-    _dtype_override = None if name is None else _validate_dtype(name)
-
-
-@contextmanager
-def use_dtype(name: str):
-    """Scoped dtype switch (restores the previous override on exit)."""
-    global _dtype_override
-    previous = _dtype_override
-    _dtype_override = _validate_dtype(name)
-    try:
-        yield
-    finally:
-        _dtype_override = previous
 
 
 def backend_module(name: Optional[str] = None):
@@ -351,27 +272,6 @@ def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Fused fleet scoring
 # ----------------------------------------------------------------------
-def float32_ulp_error(fast: np.ndarray, oracle: np.ndarray) -> np.ndarray:
-    """Elementwise error of ``fast`` in float32 ULPs of ``oracle``.
-
-    The unit is ``spacing(float32(|oracle|))`` — the gap between
-    adjacent float32 values at the oracle's magnitude — floored at
-    ``spacing(float32(1.0))`` so near-zero oracle values don't make the
-    denominator degenerate.  Non-finite elements count as 0 ULPs when
-    the two values are identical (matching ``±inf``) and ``inf`` ULPs
-    otherwise.  This is the metric :data:`FLOAT32_ULP_BUDGET` bounds.
-    """
-    oracle = np.asarray(oracle, dtype=np.float64)
-    fast = np.asarray(fast, dtype=np.float64)
-    spacing = np.spacing(np.abs(oracle).astype(np.float32)).astype(np.float64)
-    spacing = np.maximum(spacing, float(np.spacing(np.float32(1.0))))
-    out = np.full(np.broadcast(fast, oracle).shape, np.inf, dtype=np.float64)
-    finite = np.isfinite(oracle) & np.isfinite(fast)
-    np.divide(np.abs(fast - oracle), spacing, out=out, where=finite)
-    out[~finite & (fast == oracle)] = 0.0
-    return out
-
-
 @dataclass(frozen=True)
 class FleetScores:
     """One fused fleet-scoring call's results, in input-row order.
@@ -379,8 +279,7 @@ class FleetScores:
     ``context_scores`` and ``context_residuals`` are ``None`` unless
     the call carried the second modality's model arrays; residuals
     additionally need the per-row phase indices.  All arrays are
-    float64 regardless of the compute dtype (the float32 fast path
-    casts its results back).
+    float64.
     """
 
     log_densities: np.ndarray
@@ -397,7 +296,6 @@ def fleet_score_batch(
     cholesky_factors: np.ndarray,
     *,
     pad_to: Optional[int] = None,
-    dtype: Optional[str] = None,
     syscalls: Optional[np.ndarray] = None,
     centers: Optional[np.ndarray] = None,
     scales: Optional[np.ndarray] = None,
@@ -415,9 +313,7 @@ def fleet_score_batch(
     to ``detector.score_series`` on the same matrix.  ``pad_to=k``
     zero-pads to fixed ``k``-row chunks, keeping every row's score a
     pure function of its own vector, whatever its batch-mates (the
-    serial ≡ sharded digest contract).  ``dtype=None`` uses
-    :func:`active_dtype`; the reference backend ignores the dtype and
-    always computes the float64 oracle result.
+    serial ≡ sharded digest contract).
     """
     if pad_to is not None and pad_to < 1:
         raise ValueError("pad_to must be >= 1 (or None for whole-batch)")
@@ -432,7 +328,6 @@ def fleet_score_batch(
             np.atleast_2d(np.asarray(syscalls))
         ):
             raise ValueError("phases must align with the syscall batch rows")
-    resolved = _validate_dtype(dtype) if dtype is not None else active_dtype()
     densities, context_scores, residuals = backend_module().fleet_score_batch(
         matrix,
         mean,
@@ -441,7 +336,6 @@ def fleet_score_batch(
         means,
         cholesky_factors,
         pad_to=pad_to,
-        dtype=resolved,
         syscalls=syscalls,
         centers=centers,
         scales=scales,
@@ -537,7 +431,6 @@ class FleetScorer:
         syscalls: Optional[np.ndarray] = None,
         interval_indices: Optional[np.ndarray] = None,
         pad_to: Optional[int] = None,
-        dtype: Optional[str] = None,
     ) -> FleetScores:
         """Fused scores for one cross-device batch.
 
@@ -562,7 +455,6 @@ class FleetScorer:
             self.gmm_means,
             self.gmm_cholesky_factors,
             pad_to=pad_to,
-            dtype=dtype,
             syscalls=syscalls if self.has_context else None,
             centers=self.context_centers if syscalls is not None else None,
             scales=self.context_scales if syscalls is not None else None,

@@ -219,7 +219,6 @@ def fleet_score_batch(
     cholesky_factors: np.ndarray,
     *,
     pad_to: Optional[int] = None,
-    dtype: str = "float64",
     syscalls: Optional[np.ndarray] = None,
     centers: Optional[np.ndarray] = None,
     scales: Optional[np.ndarray] = None,
@@ -228,11 +227,9 @@ def fleet_score_batch(
 ) -> tuple:
     """The fused pipeline, recomputed scalar-by-scalar.
 
-    ``dtype`` and ``pad_to`` are accepted for signature parity and
-    deliberately ignored: the oracle always computes the float64
-    answer (it is the accuracy baseline the float32 fast path is
-    budgeted against), and every scalar kernel here is row-separable,
-    so zero-padding cannot change any row's result by construction.
+    ``pad_to`` is accepted for signature parity and deliberately
+    ignored: every scalar kernel here is row-separable, so zero-padding
+    cannot change any row's result by construction.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     reduced = project_batch(matrix, mean, components)

@@ -158,7 +158,7 @@ def responsibilities_batch(
 # ----------------------------------------------------------------------
 # Fused fleet scoring
 # ----------------------------------------------------------------------
-def _fleet_densities_f64(
+def _fleet_densities(
     matrix: np.ndarray,
     mean: np.ndarray,
     components: np.ndarray,
@@ -167,9 +167,8 @@ def _fleet_densities_f64(
     cholesky_factors: np.ndarray,
     pad_to: Optional[int],
 ) -> np.ndarray:
-    """The digest-bearing float64 path.
-
-    Executes exactly the op sequence of the historical unfused chain —
+    """Mixture log densities by exactly the op sequence of the historical
+    unfused chain —
     ``project_batch`` then ``log_density_batch`` per fixed-shape chunk
     (or once, whole-batch, for ``pad_to=None``) — so results are
     bit-identical to the pre-fused serving and detect paths.
@@ -191,77 +190,7 @@ def _fleet_densities_f64(
     return out
 
 
-def _logsumexp_f32(values: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp that stays in float32 (same -inf guard as
-    the float64 :func:`logsumexp`)."""
-    peak = values.max(axis=1, keepdims=True)
-    safe_peak = np.where(np.isfinite(peak), peak, np.float32(0.0))
-    with np.errstate(divide="ignore"):
-        result = np.log(np.exp(values - safe_peak).sum(axis=1)) + safe_peak[:, 0]
-    return result
-
-
-def _fleet_densities_f32(
-    matrix: np.ndarray,
-    mean: np.ndarray,
-    components: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-    pad_to: Optional[int],
-) -> np.ndarray:
-    """The opt-in float32 fast path: sgemm projection + float32
-    triangular solves, same fixed-shape chunking as the float64 path
-    (so scores stay pure functions of each row's own vector), results
-    cast back to float64.  Error vs the float64 oracle is bounded by
-    ``repro.kernels.FLOAT32_ULP_BUDGET``.
-    """
-    from . import safe_log_weights
-
-    mean32 = np.asarray(mean, dtype=np.float32)
-    components32_t = np.ascontiguousarray(
-        np.asarray(components, dtype=np.float32).T
-    )
-    means32 = np.atleast_2d(np.asarray(means, dtype=np.float32))
-    chols32 = np.asarray(cholesky_factors, dtype=np.float32)
-    log_weights32 = safe_log_weights(weights).astype(np.float32)
-    num_components, dim = means32.shape
-    # Per-component -0.5 * (d ln 2π + ln|Σ_j|) + ln λ_j, precomputed in
-    # float32 once per call.
-    offsets = np.empty(num_components, dtype=np.float32)
-    for j in range(num_components):
-        # A diagonal entry can underflow to 0 on the float64→float32
-        # cast; the component then scores -inf (impossible), silently.
-        with np.errstate(divide="ignore"):
-            log_det = np.float32(2.0) * np.log(np.diag(chols32[j])).sum()
-        offsets[j] = (
-            np.float32(-0.5) * (np.float32(dim * LOG_2PI) + log_det)
-            + log_weights32[j]
-        )
-    out = np.empty(len(matrix), dtype=np.float64)
-    step = pad_to if pad_to is not None else max(len(matrix), 1)
-    for start in range(0, len(matrix), step):
-        chunk = matrix[start : start + step]
-        n = len(chunk)
-        rows = step if pad_to is not None else n
-        padded = np.zeros((rows, matrix.shape[1]), dtype=np.float32)
-        padded[:n] = chunk
-        reduced = (padded - mean32) @ components32_t
-        log_joint = np.empty((rows, num_components), dtype=np.float32)
-        for j in range(num_components):
-            centered = reduced - means32[j]
-            solved = _solve_lower(chols32[j], centered.T).T
-            mahalanobis_sq = np.einsum("nd,nd->n", solved, solved)
-            log_joint[:, j] = (
-                np.float32(-0.5) * mahalanobis_sq + offsets[j]
-            )
-        out[start : start + n] = _logsumexp_f32(log_joint)[:n].astype(
-            np.float64
-        )
-    return out
-
-
-def _context_scores_f64(
+def _context_scores(
     data: np.ndarray, centers: np.ndarray, scales: np.ndarray
 ) -> np.ndarray:
     """Scaled nearest-context scores — the exact op sequence of
@@ -277,25 +206,6 @@ def _context_scores_f64(
     return scores
 
 
-def _context_scores_f32(
-    data: np.ndarray, centers: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
-    if data.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    data32 = data.astype(np.float32)
-    centers32 = np.asarray(centers, dtype=np.float32)
-    diff = data32[:, np.newaxis, :] - centers32[np.newaxis, :, :]
-    squared = np.einsum("nkd,nkd->nk", diff, diff)
-    labels = squared.argmin(axis=1)
-    distances = np.sqrt(squared[np.arange(len(data32)), labels])
-    row_scales = np.asarray(scales, dtype=np.float32)[labels]
-    scores = np.zeros(len(distances), dtype=np.float32)
-    positive = row_scales > 0
-    np.divide(distances, row_scales, out=scores, where=positive)
-    scores[~positive & (distances > 0)] = np.inf
-    return scores.astype(np.float64)
-
-
 def fleet_score_batch(
     matrix: np.ndarray,
     mean: np.ndarray,
@@ -305,7 +215,6 @@ def fleet_score_batch(
     cholesky_factors: np.ndarray,
     *,
     pad_to: Optional[int] = None,
-    dtype: str = "float64",
     syscalls: Optional[np.ndarray] = None,
     centers: Optional[np.ndarray] = None,
     scales: Optional[np.ndarray] = None,
@@ -317,31 +226,20 @@ def fleet_score_batch(
     Returns ``(log_densities, context_scores, context_residuals)``.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    density_fn = (
-        _fleet_densities_f32 if dtype == "float32" else _fleet_densities_f64
-    )
-    densities = density_fn(
+    densities = _fleet_densities(
         matrix, mean, components, weights, means, cholesky_factors, pad_to
     )
     context_scores = None
     residuals = None
     if centers is not None:
         data = np.atleast_2d(np.asarray(syscalls, dtype=np.float64))
-        scores_fn = (
-            _context_scores_f32 if dtype == "float32" else _context_scores_f64
-        )
-        context_scores = scores_fn(data, centers, scales)
+        context_scores = _context_scores(data, centers, scales)
         if phase_means is not None and phases is not None:
             phase_rows = np.asarray(phase_means, dtype=np.float64)[
                 np.asarray(phases, dtype=np.int64)
             ]
-            if dtype == "float32":
-                residuals = (
-                    data.astype(np.float32) - phase_rows.astype(np.float32)
-                ).astype(np.float64)
-            else:
-                # Elementwise row subtraction: bit-identical to the
-                # per-record residual the drift channel historically
-                # computed.
-                residuals = data - phase_rows
+            # Elementwise row subtraction: bit-identical to the
+            # per-record residual the drift channel historically
+            # computed.
+            residuals = data - phase_rows
     return densities, context_scores, residuals

@@ -34,7 +34,8 @@ The grid must not die with its weakest job.  Each job gets bounded
 retries with seeded exponential backoff, an optional per-attempt
 wall-clock timeout, and crashed workers are replaced (a hard worker
 death breaks a :class:`~concurrent.futures.ProcessPoolExecutor`; the
-runner builds a fresh pool and re-queues the interrupted attempts).  A
+runner builds a fresh pool and re-queues the interrupted attempts,
+charging a crash only to an attempt that was alone in flight).  A
 run returns every *completed* :class:`JobResult` plus a structured
 failure manifest (:meth:`ExperimentRunner.failure_manifest`,
 ``failures.json`` via :meth:`ExperimentRunner.write_failure_manifest`)
@@ -514,6 +515,22 @@ def _timeout_payload(timeout: float) -> dict:
     }
 
 
+def _attempt_outcome(future) -> tuple:
+    """``(status, payload)`` of a finished attempt; ``("crash", None)``
+    when its worker died and broke the pool."""
+    try:
+        return future.result()
+    except BrokenExecutor:
+        return "crash", None
+    except Exception as exc:  # e.g. result unpickling
+        return "err", {
+            "error_type": type(exc).__name__,
+            "message": str(exc),
+            "site": getattr(exc, "site", None),
+            "traceback": "",
+        }
+
+
 def _crash_payload() -> dict:
     return {
         "error_type": "WorkerCrash",
@@ -732,17 +749,34 @@ class ExperimentRunner:
         # be (re)submitted; retries carry a backoff-delayed ready time.
         ready: list = [(0.0, index, 0) for index in range(len(jobs_list))]
         heapq.heapify(ready)
-        inflight: Dict = {}  # future -> (job_index, attempt, deadline)
+        inflight: Dict = {}  # future -> (job_index, attempt, deadline, pool)
+        # Jobs that were in flight together when a worker crashed: which
+        # of them killed it is unknown, so each re-runs alone until it
+        # finishes or crashes by itself.
+        isolated: set = set()
         pool = capped_process_pool(workers)
         retired = []  # replaced pools, shut down without waiting
+
+        def settle(index, attempt, status, payload):
+            isolated.discard(index)
+            self._settle(
+                jobs_list, index, attempt, status, payload,
+                completed, ready, registry, tracer,
+            )
+
         try:
             while ready or inflight:
                 now = time.monotonic()
                 # Submit whatever is due.  At most ``workers`` attempts
                 # are in flight, so submission time ≈ start time and a
                 # deadline measures actual execution, not queueing.
-                while ready and ready[0][0] <= now and len(inflight) < workers:
-                    _, index, attempt = heapq.heappop(ready)
+                while True:
+                    entry = self._pop_due(
+                        ready, isolated, len(inflight), workers, now
+                    )
+                    if entry is None:
+                        break
+                    _, index, attempt = entry
                     future = pool.submit(
                         _execute_job,
                         jobs_list[index],
@@ -754,7 +788,7 @@ class ExperimentRunner:
                     deadline = (
                         None if self.job_timeout is None else now + self.job_timeout
                     )
-                    inflight[future] = (index, attempt, deadline)
+                    inflight[future] = (index, attempt, deadline, pool)
                 if not inflight:
                     # Everything is waiting out a retry backoff.
                     time.sleep(max(0.0, ready[0][0] - now))
@@ -762,33 +796,50 @@ class ExperimentRunner:
 
                 done, _ = _futures_wait(
                     set(inflight),
-                    timeout=self._wait_budget(inflight, ready, now),
+                    timeout=self._wait_budget(
+                        inflight, [] if isolated else ready, now
+                    ),
                     return_when=FIRST_COMPLETED,
                 )
                 pool_broken = False
                 for future in done:
-                    index, attempt, _ = inflight.pop(future)
-                    try:
-                        status, payload = future.result()
-                    except BrokenExecutor:
-                        # A worker died hard (SIGKILL, os._exit, ...):
-                        # the pool is unusable and every in-flight
-                        # future fails with it.  Charge an attempt and
-                        # let the retry machinery re-run on the
-                        # replacement pool.
-                        pool_broken = True
-                        status, payload = "err", _crash_payload()
-                    except Exception as exc:  # e.g. result unpickling
-                        status, payload = "err", {
-                            "error_type": type(exc).__name__,
-                            "message": str(exc),
-                            "site": getattr(exc, "site", None),
-                            "traceback": "",
-                        }
-                    self._settle(
-                        jobs_list, index, attempt, status, payload,
-                        completed, ready, registry, tracer,
-                    )
+                    if future not in inflight:
+                        continue  # settled with its pool's crash below
+                    index, attempt, _, owner = inflight.pop(future)
+                    status, payload = _attempt_outcome(future)
+                    if status != "crash":
+                        settle(index, attempt, status, payload)
+                        continue
+                    # A worker died hard (SIGKILL, os._exit, ...): its
+                    # pool is unusable and fails every attempt it still
+                    # holds.  Collect them all before judging the crash.
+                    pool_broken = pool_broken or owner is pool
+                    crashed = [(index, attempt)]
+                    siblings = [
+                        other
+                        for other, entry in inflight.items()
+                        if entry[3] is owner
+                    ]
+                    _futures_wait(siblings)
+                    for other in siblings:
+                        other_index, other_attempt, _, _ = inflight.pop(other)
+                        status, payload = _attempt_outcome(other)
+                        if status == "crash":
+                            crashed.append((other_index, other_attempt))
+                        else:
+                            settle(other_index, other_attempt, status, payload)
+                    if len(crashed) == 1:
+                        # Alone in flight: this attempt killed its worker.
+                        settle(index, attempt, "err", _crash_payload())
+                        continue
+                    # Charge nobody; re-run each attempt alone, at the
+                    # same attempt number.
+                    for crashed_index, crashed_attempt in crashed:
+                        isolated.add(crashed_index)
+                        heapq.heappush(
+                            ready,
+                            (time.monotonic(), crashed_index, crashed_attempt),
+                        )
 
                 # Enforce deadlines on attempts still running.  A stuck
                 # worker cannot be interrupted, so its attempt is
@@ -796,16 +847,14 @@ class ExperimentRunner:
                 now = time.monotonic()
                 overdue = [
                     future
-                    for future, (_, _, deadline) in inflight.items()
+                    for future, (_, _, deadline, _) in inflight.items()
                     if deadline is not None and now >= deadline
                 ]
                 for future in overdue:
-                    index, attempt, _ = inflight.pop(future)
+                    index, attempt, _, _ = inflight.pop(future)
                     future.cancel()
-                    self._settle(
-                        jobs_list, index, attempt, "err",
-                        _timeout_payload(self.job_timeout),
-                        completed, ready, registry, tracer,
+                    settle(
+                        index, attempt, "err", _timeout_payload(self.job_timeout)
                     )
 
                 if pool_broken or overdue:
@@ -824,11 +873,27 @@ class ExperimentRunner:
                 old.shutdown(wait=False, cancel_futures=True)
 
     @staticmethod
+    def _pop_due(ready, isolated, busy, workers, now) -> Optional[tuple]:
+        """Pop the next ``(ready_time, job_index, attempt)`` to submit,
+        or ``None``.  While any job is isolated, only isolated jobs run,
+        one at a time (they are requeued due at once)."""
+        if isolated:
+            if busy:
+                return None
+            entry = min(e for e in ready if e[1] in isolated)
+            ready.remove(entry)
+            heapq.heapify(ready)
+            return entry
+        if ready and ready[0][0] <= now and busy < workers:
+            return heapq.heappop(ready)
+        return None
+
+    @staticmethod
     def _wait_budget(inflight, ready, now) -> Optional[float]:
         """How long the event loop may block: until the next deadline
         or the next backoff expiry, whichever comes first."""
         horizon = None
-        deadlines = [d for (_, _, d) in inflight.values() if d is not None]
+        deadlines = [d for (_, _, d, _) in inflight.values() if d is not None]
         if deadlines:
             horizon = min(deadlines)
         if ready:

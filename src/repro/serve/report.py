@@ -141,10 +141,6 @@ class FleetReport:
     devices_drifted: int
     fleet_digest: str
     modality: str = "mhm"
-    #: Fused-kernel compute dtype the run scored with.  The "float64"
-    #: default keeps schema-1 payloads written before the fast path
-    #: existed loadable (they could only have scored in float64).
-    kernels_dtype: str = "float64"
     #: Which executor ran the shards.  Runs record "async" (the event
     #: bus, the only executor); the "lockstep" default is what reports
     #: written by the removed serial loop load as.  Scheduling metadata
@@ -167,7 +163,6 @@ class FleetReport:
         device_reports: List[DeviceReport],
         block_stalls: int,
         kernels_backend: str,
-        kernels_dtype: str = "float64",
         bus: Optional[dict] = None,
     ) -> "FleetReport":
         reports = sorted(device_reports, key=lambda r: r.device_index)
@@ -198,7 +193,6 @@ class FleetReport:
             devices_drifted=sum(1 for r in reports if r.drifted),
             fleet_digest=fleet.hexdigest(),
             modality=getattr(config, "modality", "mhm"),
-            kernels_dtype=kernels_dtype,
             executor=config.executor,
             devices_recalibrated=sum(1 for r in reports if r.recalibrated),
             bus=bus,
@@ -217,6 +211,15 @@ class FleetReport:
             )
         devices = [DeviceReport(**entry) for entry in payload["device_reports"]]
         fields = {k: v for k, v in payload.items() if k != "device_reports"}
+        # Reports written while a float32 scoring path existed carry the
+        # compute dtype; a float64 one is this build's only precision.
+        legacy_dtype = fields.pop("kernels_dtype", "float64")
+        if legacy_dtype != "float64":
+            raise ValueError(
+                f"fleet report has kernels_dtype={legacy_dtype!r}: it was "
+                "scored by the removed float32 kernels path, and this "
+                "build scores in float64 only"
+            )
         return cls(device_reports=devices, **fields)
 
     def to_json(self, indent: int = 2) -> str:

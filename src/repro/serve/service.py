@@ -32,7 +32,7 @@ and may differ; the scores of whatever was scored still match.)
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import faults, kernels, obs
@@ -128,13 +128,6 @@ class ServeConfig:
     #: earlier single-modality builds), "contexts", or "ensemble".
     modality: str = "mhm"
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    #: Fused-kernel compute dtype for the shard scorers: "float64"
-    #: (the digest-bearing default), "float32" (opt-in fast path), or
-    #: ``None`` to inherit :func:`repro.kernels.active_dtype` at run
-    #: time.  Resolved in the parent and shipped to every shard, since
-    #: programmatic dtype overrides don't cross process-pool
-    #: boundaries (only environment variables do).
-    kernels_dtype: Optional[str] = None
     #: Compatibility field: the event bus ("async") is the only shard
     #: executor.  The value is recorded in the report, never digested.
     executor: str = "async"
@@ -157,14 +150,6 @@ class ServeConfig:
             raise ValueError(
                 f"unknown modality {self.modality!r}; "
                 f"choose from {MODALITIES}"
-            )
-        if (
-            self.kernels_dtype is not None
-            and self.kernels_dtype not in kernels.DTYPES
-        ):
-            raise ValueError(
-                f"unknown kernels dtype {self.kernels_dtype!r}; "
-                f"choose from {kernels.DTYPES} (or None to inherit)"
             )
         if self.devices < 1:
             raise ValueError("devices must be >= 1")
@@ -241,12 +226,8 @@ def _run_shard(
             seed=config.seed,
             devices=len(specs),
         )
-    # The parent resolved the fused-kernel dtype into the config (a
-    # programmatic kernels.set_dtype override would not survive the
-    # hop into a pool child); apply it for the whole shard run.
-    dtype = config.kernels_dtype or kernels.active_dtype()
     try:
-        with kernels.use_dtype(dtype), faults.injected(fault_plan):
+        with faults.injected(fault_plan):
             detectors, context_detectors = DetectorRegistry.from_fleet_payload(
                 fleet_payload
             )
@@ -340,14 +321,7 @@ class FleetService:
         return ArtifactCache(self.config.cache_dir)
 
     def run(self) -> FleetReport:
-        # Resolve the fused-kernel dtype once, in the parent, so every
-        # shard child scores with the same dtype regardless of how it
-        # was selected (config field, set_dtype override, or the
-        # REPRO_KERNELS_DTYPE environment variable).
-        config = replace(
-            self.config,
-            kernels_dtype=self.config.kernels_dtype or kernels.active_dtype(),
-        )
+        config = self.config
         telemetry = (
             self.telemetry
             if self.telemetry is not None
@@ -427,7 +401,6 @@ class FleetService:
             device_reports=device_reports,
             block_stalls=block_stalls,
             kernels_backend=kernels.active_backend(),
-            kernels_dtype=config.kernels_dtype,
             bus=bus_totals,
         )
         if log.enabled:

@@ -63,7 +63,6 @@ config = ServeConfig(
 report = FleetService(config).run()
 print(json.dumps({
     "fleet_digest": report.fleet_digest,
-    "kernels_dtype": report.kernels_dtype,
     "verdicts": report.verdict_sequences,
 }))
 """
@@ -73,15 +72,10 @@ def _run_fresh_interpreter(
     hash_seed: str,
     snippet: str = SNIPPET,
     argv: tuple = (),
-    dtype: str | None = None,
 ) -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    if dtype is None:
-        env.pop("REPRO_KERNELS_DTYPE", None)
-    else:
-        env["REPRO_KERNELS_DTYPE"] = dtype
     result = subprocess.run(
         [sys.executable, "-c", snippet, *argv],
         capture_output=True,
@@ -101,18 +95,13 @@ def test_fingerprints_and_matrix_digest_survive_interpreter_restart():
     assert first == second
 
 
-@pytest.mark.parametrize("dtype", ["float64", "float32"])
-def test_fleet_digests_survive_interpreter_restart(tmp_path, dtype):
-    """A tiny sharded fleet, scored through the fused path under each
-    compute dtype, produces byte-identical digests across interpreters
-    with different hash seeds (the env var is the only way the dtype
-    reaches pool workers, so this also pins that plumbing)."""
+def test_fleet_digests_survive_interpreter_restart(tmp_path):
+    """A tiny sharded fleet, scored through the fused path, produces
+    byte-identical digests across interpreters with different hash
+    seeds."""
     cache = str(tmp_path / "cache")
-    first = _run_fresh_interpreter(
-        "0", snippet=SERVE_SNIPPET, argv=(cache,), dtype=dtype
-    )
+    first = _run_fresh_interpreter("0", snippet=SERVE_SNIPPET, argv=(cache,))
     second = _run_fresh_interpreter(
-        "20260808", snippet=SERVE_SNIPPET, argv=(cache,), dtype=dtype
+        "20260808", snippet=SERVE_SNIPPET, argv=(cache,)
     )
-    assert first["kernels_dtype"] == dtype
     assert first == second

@@ -1,4 +1,4 @@
-"""Backend + dtype selection: env vars, overrides, scoping."""
+"""Backend selection: env vars, overrides, scoping."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ def _clean_backend(monkeypatch):
     """Every test starts with no override and no env var, and leaks neither."""
     monkeypatch.delenv(kernels.ENV_VAR, raising=False)
     monkeypatch.setattr(kernels, "_override", None)
-    monkeypatch.delenv(kernels.DTYPE_ENV_VAR, raising=False)
-    monkeypatch.setattr(kernels, "_dtype_override", None)
     yield
 
 
@@ -71,77 +69,6 @@ class TestSelection:
         assert kernels.backend_module("vectorized") is vectorized
         with kernels.use_backend("reference"):
             assert kernels.backend_module() is reference
-
-
-class TestDtypeSelection:
-    """The fused path's compute dtype mirrors the backend plumbing."""
-
-    def test_default_is_float64(self):
-        assert kernels.DEFAULT_DTYPE == "float64"
-        assert kernels.active_dtype() == "float64"
-
-    def test_env_var_selects_float32(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "float32")
-        assert kernels.active_dtype() == "float32"
-
-    def test_env_var_is_normalised(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "  Float32 ")
-        assert kernels.active_dtype() == "float32"
-
-    def test_empty_env_var_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "")
-        assert kernels.active_dtype() == kernels.DEFAULT_DTYPE
-
-    def test_invalid_env_var_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "bfloat16")
-        with pytest.raises(kernels.KernelBackendError, match="bfloat16"):
-            kernels.active_dtype()
-
-    def test_set_dtype_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.DTYPE_ENV_VAR, "float64")
-        kernels.set_dtype("float32")
-        assert kernels.active_dtype() == "float32"
-        kernels.set_dtype(None)
-        assert kernels.active_dtype() == "float64"
-
-    def test_set_dtype_rejects_unknown(self):
-        with pytest.raises(kernels.KernelBackendError):
-            kernels.set_dtype("float16")
-
-    def test_use_dtype_restores_on_exit(self):
-        assert kernels.active_dtype() == "float64"
-        with kernels.use_dtype("float32"):
-            assert kernels.active_dtype() == "float32"
-            with kernels.use_dtype("float64"):
-                assert kernels.active_dtype() == "float64"
-            assert kernels.active_dtype() == "float32"
-        assert kernels.active_dtype() == "float64"
-
-    def test_use_dtype_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with kernels.use_dtype("float32"):
-                raise RuntimeError("boom")
-        assert kernels.active_dtype() == "float64"
-
-    def test_fused_call_honours_active_dtype(self):
-        """fleet_score_batch resolves the ambient dtype per call."""
-        rng = np.random.default_rng(0)
-        mean = rng.random(8)
-        basis, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        matrix = mean + rng.standard_normal((5, 8))
-        means = rng.standard_normal((2, 3))
-        chols = np.tile(np.eye(3), (2, 1, 1))
-        weights = np.array([0.5, 0.5])
-        f64 = kernels.fleet_score_batch(
-            matrix, mean, basis.T, weights, means, chols
-        )
-        with kernels.use_dtype("float32"):
-            f32 = kernels.fleet_score_batch(
-                matrix, mean, basis.T, weights, means, chols
-            )
-        assert not np.array_equal(f64.log_densities, f32.log_densities)
-        ulp = kernels.float32_ulp_error(f32.log_densities, f64.log_densities)
-        assert ulp.max() <= kernels.FLOAT32_ULP_BUDGET
 
 
 class TestDispatch:

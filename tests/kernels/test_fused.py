@@ -1,6 +1,6 @@
-"""Fused fleet-scoring kernel: differential, padding and dtype suite.
+"""Fused fleet-scoring kernel: differential and padding suite.
 
-Four contracts, each on hypothesis-generated model fixtures:
+Three contracts, each on hypothesis-generated model fixtures:
 
 * **float64 differential** — fused vectorized ≡ the unfused vectorized
   chain bitwise, and ≡ the scalar reference oracle within 1e-9;
@@ -8,11 +8,9 @@ Four contracts, each on hypothesis-generated model fixtures:
   project → log-density chain over zero-padded chunks and the context
   detector's ``score_series`` / ``drift_series`` residuals exactly
   (the shipped-digest contract);
-* **float32 fast path** — error against the float64 oracle bounded by
-  :data:`repro.kernels.FLOAT32_ULP_BUDGET` under both padding modes;
 * **padding purity** — zero-padded rows never influence a real row's
   score: every row scored inside any batch equals the row scored
-  alone, bitwise, under both dtypes.
+  alone, bitwise.
 """
 
 from types import SimpleNamespace
@@ -74,7 +72,7 @@ def _fixture(seed, n, collapse_component=False, zero_scale=False):
     )
 
 
-def _fused(module, fx, *, pad_to=None, dtype="float64", with_context=True):
+def _fused(module, fx, *, pad_to=None, with_context=True):
     kwargs = {}
     if with_context:
         kwargs = dict(
@@ -92,7 +90,6 @@ def _fused(module, fx, *, pad_to=None, dtype="float64", with_context=True):
         fx.gmm_means,
         fx.chols,
         pad_to=pad_to,
-        dtype=dtype,
         **kwargs,
     )
 
@@ -200,38 +197,6 @@ class TestServeLayerPins:
             assert residuals.shape[0] == 0
 
 
-class TestFloat32FastPath:
-    @batch_cases
-    @settings(max_examples=40, deadline=None)
-    def test_within_ulp_budget(self, seed, n, pad_to):
-        fx = _fixture(seed, n)
-        fast = _fused(vectorized, fx, pad_to=pad_to, dtype="float32")
-        oracle = _fused(reference, fx, pad_to=pad_to, dtype="float64")
-        for got, want in zip(fast, oracle):
-            ulp = kernels.float32_ulp_error(got, want)
-            assert ulp.size == 0 or ulp.max() <= kernels.FLOAT32_ULP_BUDGET
-
-    def test_results_are_float64_arrays(self):
-        fx = _fixture(11, 9)
-        scores = kernels.fleet_score_batch(
-            fx.matrix, fx.mean, fx.components, fx.weights, fx.gmm_means,
-            fx.chols, pad_to=4, dtype="float32", syscalls=fx.syscalls,
-            centers=fx.centers, scales=fx.scales,
-            phase_means=fx.phase_means, phases=fx.phases,
-        )
-        assert scores.log_densities.dtype == np.float64
-        assert scores.context_scores.dtype == np.float64
-        assert scores.context_residuals.dtype == np.float64
-
-    def test_reference_backend_ignores_float32(self):
-        """The oracle has no fast path: dtype=float32 is a no-op there."""
-        fx = _fixture(5, 10)
-        f64 = _fused(reference, fx, pad_to=4, dtype="float64")
-        f32 = _fused(reference, fx, pad_to=4, dtype="float32")
-        for a, b in zip(f64, f32):
-            np.testing.assert_array_equal(a, b)
-
-
 class TestPaddingPurity:
     """Zero-padded rows must never influence a real device's score."""
 
@@ -239,18 +204,17 @@ class TestPaddingPurity:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=1, max_value=17),
         pad_to=st.sampled_from([4, 8, 32]),
-        dtype=st.sampled_from(["float64", "float32"]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_row_scores_independent_of_batchmates(self, seed, n, pad_to, dtype):
+    def test_row_scores_independent_of_batchmates(self, seed, n, pad_to):
         fx = _fixture(seed, n)
-        batch = _fused(vectorized, fx, pad_to=pad_to, dtype=dtype)
+        batch = _fused(vectorized, fx, pad_to=pad_to)
         for row in range(n):
             alone = SimpleNamespace(**{**vars(fx)})
             alone.matrix = fx.matrix[row : row + 1]
             alone.syscalls = fx.syscalls[row : row + 1]
             alone.phases = fx.phases[row : row + 1]
-            solo = _fused(vectorized, alone, pad_to=pad_to, dtype=dtype)
+            solo = _fused(vectorized, alone, pad_to=pad_to)
             np.testing.assert_array_equal(batch[0][row : row + 1], solo[0])
             np.testing.assert_array_equal(batch[1][row : row + 1], solo[1])
             np.testing.assert_array_equal(
@@ -289,11 +253,6 @@ class TestFacadeValidation:
                 centers=fx.centers, scales=fx.scales,
                 phase_means=fx.phase_means, phases=fx.phases[:-1],
             )
-
-    def test_rejects_unknown_dtype(self):
-        fx = _fixture(1, 2)
-        with pytest.raises(kernels.KernelBackendError, match="float16"):
-            _fused(kernels, fx, dtype="float16", with_context=False)
 
 
 class TestFleetScorer:

@@ -221,9 +221,11 @@ class TestWorkerCrash:
 
     def test_crashed_worker_is_replaced_and_grid_completes(self):
         """A hard worker death breaks the pool, which also fails any
-        *other* attempt in flight at that moment (each is charged an
-        attempt, per the documented semantics) — so bystanders need a
-        retry budget to survive a neighbour's crash."""
+        *other* attempt in flight at that moment.  Only an attempt that
+        crashed alone in flight is charged; the others re-run alone at
+        the same attempt number, so a bystander survives however often
+        its neighbour crashes, and the culprit uses up its whole retry
+        budget."""
         plan = FaultPlan(
             sites={"runner.job": FaultSpec(mode="crash", match="shellcode-t1@")}
         )

@@ -14,8 +14,8 @@ change, and reviewed like code::
 
     python -m pytest tests/serve/test_bus_conformance.py --update-goldens
 
-Cadence, recalibration and float32 runs have no golden; for those the
-oracle is bus-internal shard invariance plus spot-checked semantics.
+Cadence and recalibration runs have no golden; for those the oracle
+is bus-internal shard invariance plus spot-checked semantics.
 """
 
 import dataclasses
@@ -148,12 +148,10 @@ class TestModalityAndDtypeIdentity:
                     base_config, update_goldens, "ensemble", plan, shards
                 )
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_dtypes_identical_across_executors(self, base_config, dtype):
-        reference = _run(base_config, kernels_dtype=dtype)
-        report = _run(base_config, shards=2, kernels_dtype=dtype)
+    def test_float64_identical_across_executors(self, base_config):
+        reference = _run(base_config)
+        report = _run(base_config, shards=2)
         assert report.canonical_dict() == reference.canonical_dict()
-        assert report.kernels_dtype == dtype
 
 
 class TestCadences:

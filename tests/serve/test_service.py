@@ -187,6 +187,18 @@ class TestReportSchema:
         with pytest.raises(ValueError, match="schema"):
             FleetReport.from_dict(payload)
 
+    def test_legacy_float64_kernels_dtype_loads(self, serial_report):
+        payload = serial_report.to_dict()
+        payload["kernels_dtype"] = "float64"
+        loaded = FleetReport.from_dict(payload)
+        assert loaded.to_dict() == serial_report.to_dict()
+
+    def test_legacy_float32_report_rejected(self, serial_report):
+        payload = serial_report.to_dict()
+        payload["kernels_dtype"] = "float32"
+        with pytest.raises(ValueError, match="removed float32"):
+            FleetReport.from_dict(payload)
+
     def test_report_is_json_serializable(self, serial_report):
         json.dumps(serial_report.to_dict())
 
