@@ -97,7 +97,7 @@ import numpy as np
 
 from . import obs
 from .conformance.matrix import SIZINGS as _SIZINGS
-from .conformance.matrix import build_matrix
+from .conformance.matrix import build_matrix, interval_alert_floor
 from .faults import FaultPlan
 from .learn.detector import MhmDetector
 from .learn.ensemble import ENSEMBLE_RULES, EnsembleConfig
@@ -1465,21 +1465,13 @@ def _cmd_detect(args) -> int:
         return ExitCode.USAGE
 
     if mhm_flags is not None and context_flags is not None:
-        if ensemble.rule == "or":
-            fused = mhm_flags | context_flags
-        elif ensemble.rule == "and":
-            fused = mhm_flags & context_flags
-        else:
-            weight = ensemble.mhm_weight
-            fused = (
-                weight * mhm_flags + (1.0 - weight) * context_flags
-            ) >= ensemble.vote_threshold
+        fused = ensemble.fuse(mhm_flags, context_flags)
     else:
         fused = mhm_flags if mhm_flags is not None else context_flags
 
     mask = outcome.ground_truth
     rate = float(fused[mask].mean()) if mask.any() else 0.0
-    floor = max(5.0 * p / 100.0, 0.10)
+    floor = interval_alert_floor(p)
     drift_hit = (
         outcome.context_drift_exceeded if context_flags is not None else False
     )

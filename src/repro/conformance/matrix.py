@@ -48,12 +48,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..learn.ensemble import allowed_false_positive_rate
 from ..pipeline.experiments import (
     QUICK_SCALE,
     ExperimentScale,
@@ -75,6 +75,7 @@ __all__ = [
     "MatrixCell",
     "ConformanceMatrix",
     "validate_declarations",
+    "interval_alert_floor",
     "build_matrix",
 ]
 
@@ -176,7 +177,7 @@ def _gmm_alarm(
     )
 
 
-def _interval_alert_floor(p_percent: float) -> float:
+def interval_alert_floor(p_percent: float) -> float:
     """Post-injection flag rate that counts as a per-interval detect.
 
     An order of magnitude above the calibrated budget (5× the expected
@@ -193,7 +194,7 @@ def _gmm_interval(
     outcome: ScenarioOutcome, sizing: MatrixSizing
 ) -> Tuple[str, Dict[str, float]]:
     rate = outcome.attack_detection_rate(sizing.p_percent)
-    floor = _interval_alert_floor(sizing.p_percent)
+    floor = interval_alert_floor(sizing.p_percent)
     return (
         "detect" if rate >= floor else "miss",
         {"detection_rate": _round(rate), "alert_floor": _round(floor)},
@@ -237,10 +238,7 @@ def _fpr_budget(
 ) -> Tuple[str, Dict[str, float]]:
     pre = outcome.scenario.attack_interval
     fpr = outcome.pre_attack_fpr(sizing.p_percent)
-    expected = sizing.p_percent / 100.0
-    # Binomial slack: two standard deviations plus one interval of
-    # granularity, so short pre-windows don't trip on a single flag.
-    allowed = expected + 2.0 * math.sqrt(expected * (1 - expected) / pre) + 1 / pre
+    allowed = allowed_false_positive_rate(sizing.p_percent, pre)
     return (
         "within-budget" if fpr <= allowed else "over-budget",
         {"pre_attack_fpr": _round(fpr), "allowed_fpr": _round(allowed)},
@@ -263,7 +261,7 @@ def _context(
             "the matrix must be built through run_scenario_experiment"
         )
     rate = outcome.context_detection_rate(sizing.p_percent)
-    floor = _interval_alert_floor(sizing.p_percent)
+    floor = interval_alert_floor(sizing.p_percent)
     drifted = outcome.context_drift_exceeded
     detected = rate >= floor or drifted
     return (

@@ -108,6 +108,21 @@ class EnsembleConfig:
         # Exact complement: the two budgets sum to exactly p_percent.
         return self.p_percent - self.p_mhm
 
+    def fuse(self, mhm_flags, context_flags):
+        """The fused verdict of the two modalities' flags under the rule.
+
+        Works elementwise on boolean arrays and on single bools alike,
+        so the batch path (:meth:`EnsembleDetector.classify`) and the
+        per-record serving path fuse with the same operations.
+        """
+        if self.rule == "or":
+            return mhm_flags | context_flags
+        if self.rule == "and":
+            return mhm_flags & context_flags
+        weight = self.mhm_weight
+        votes = weight * mhm_flags + (1.0 - weight) * context_flags
+        return votes >= self.vote_threshold
+
 
 class EnsembleDetector:
     """Fuses per-interval verdicts from the two fitted modalities.
@@ -193,16 +208,9 @@ class EnsembleDetector:
         self, log_densities: np.ndarray, context_scores: np.ndarray
     ) -> np.ndarray:
         """Fused boolean anomaly flags under the configured rule."""
-        mhm_flags, context_flags = self.modality_flags(
-            log_densities, context_scores
+        return self.config.fuse(
+            *self.modality_flags(log_densities, context_scores)
         )
-        if self.config.rule == "or":
-            return mhm_flags | context_flags
-        if self.config.rule == "and":
-            return mhm_flags & context_flags
-        weight = self.config.mhm_weight
-        votes = weight * mhm_flags + (1.0 - weight) * context_flags
-        return votes >= self.config.vote_threshold
 
     # ------------------------------------------------------------------
     # Identity

@@ -239,15 +239,6 @@ class GaussianMixtureModel:
         )
         return params, final_ll, converged, iteration, trajectory
 
-    @staticmethod
-    def _component_log_densities(
-        data: np.ndarray, params: GmmParameters
-    ) -> np.ndarray:
-        """(N, J) matrix of per-component log densities."""
-        return kernels.component_log_densities(
-            data, params.means, params.cholesky_factors
-        )
-
     # ------------------------------------------------------------------
     # Scoring (paper Eq. 2)
     # ------------------------------------------------------------------

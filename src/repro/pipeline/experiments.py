@@ -28,12 +28,14 @@ from ..learn.detector import MhmDetector
 from ..learn.metrics import detection_latency
 from ..sim.platform import Platform, PlatformConfig
 from .scenario import ScenarioResult, ScenarioRunner
-from .training import (
-    TrainingData,
-    collect_training_data,
-    train_context_detector,
-    train_detector,
+from .stages import (
+    CONTEXT_STAGE,
+    DETECTOR_STAGE,
+    collect_training_data_cached,
+    fit_cached,
+    training_material,
 )
+from .training import TrainingData
 
 __all__ = [
     "ExperimentScale",
@@ -118,67 +120,45 @@ def get_reference_artifacts(
     use_cache: bool = True,
     cache=None,
 ) -> ReferenceArtifacts:
-    """Train (or fetch the memoised) reference detector for a scale.
+    """Train (or fetch the memoised) reference detectors for a scale.
 
     ``use_cache`` controls the in-process memo.  ``cache`` optionally
     names an :class:`~repro.pipeline.cache.ArtifactCache` so the
-    collected traces and the fitted detector persist (and are shared)
+    collected traces and both fitted detectors persist (and are shared)
     across processes — a cache-warm call skips both the simulation and
-    the training, with bit-identical results.
+    the training, with bit-identical results.  Either way the fits run
+    through :func:`~repro.pipeline.stages.fit_cached`.
     """
     config = config or PlatformConfig()
     key = (scale.name, config, seed)
     if use_cache and key in _ARTIFACT_CACHE:
         return _ARTIFACT_CACHE[key]
-    if cache is None:
-        data = collect_training_data(
-            config,
-            runs=scale.training_runs,
-            intervals_per_run=scale.intervals_per_run,
-            validation_intervals=scale.validation_intervals,
-            base_seed=100 + seed,
-        )
-        detector = train_detector(data, em_restarts=scale.em_restarts, seed=seed)
-        context_detector = train_context_detector(data, seed=seed)
-    else:
-        from .stages import (
-            collect_training_data_cached,
-            context_material,
-            detector_material,
-            train_context_detector_cached,
-            train_detector_cached,
-            training_material,
-        )
-
-        data, _ = collect_training_data_cached(
-            config,
-            runs=scale.training_runs,
-            intervals_per_run=scale.intervals_per_run,
-            validation_intervals=scale.validation_intervals,
-            base_seed=100 + seed,
-            cache=cache,
-        )
-        material = training_material(
-            config,
-            scale.training_runs,
-            scale.intervals_per_run,
-            scale.validation_intervals,
-            100 + seed,
-        )
-        detector_kwargs = {"em_restarts": scale.em_restarts, "seed": seed}
-        detector, _ = train_detector_cached(
-            lambda: data,
-            detector_material(material, detector_kwargs),
-            detector_kwargs,
-            cache=cache,
-        )
-        context_kwargs = {"seed": seed}
-        context_detector, _ = train_context_detector_cached(
-            lambda: data,
-            context_material(material, context_kwargs),
-            context_kwargs,
-            cache=cache,
-        )
+    base_seed = 100 + seed
+    data, _ = collect_training_data_cached(
+        config,
+        runs=scale.training_runs,
+        intervals_per_run=scale.intervals_per_run,
+        validation_intervals=scale.validation_intervals,
+        base_seed=base_seed,
+        cache=cache,
+    )
+    material = training_material(
+        config,
+        scale.training_runs,
+        scale.intervals_per_run,
+        scale.validation_intervals,
+        base_seed,
+    )
+    detector, _ = fit_cached(
+        DETECTOR_STAGE,
+        lambda: data,
+        material,
+        {"em_restarts": scale.em_restarts, "seed": seed},
+        cache=cache,
+    )
+    context_detector, _ = fit_cached(
+        CONTEXT_STAGE, lambda: data, material, {"seed": seed}, cache=cache
+    )
     artifacts = ReferenceArtifacts(
         scale=scale,
         config=config,
@@ -274,12 +254,6 @@ class ScenarioOutcome:
             raise RuntimeError("outcome carries no context-modality scores")
         theta = self.context_thresholds[p_percent]
         return np.asarray(self.context_scores) > theta
-
-    def context_pre_attack_fpr(self, p_percent: float) -> float:
-        start = self.scenario.attack_interval
-        if start == 0:
-            return 0.0
-        return float(self.context_flags(p_percent)[:start].mean())
 
     def context_detection_rate(self, p_percent: float) -> float:
         """Fraction of attack-active intervals the score channel flags."""

@@ -83,9 +83,8 @@ from .stages import (
     SCENARIOS,
     TRAINING_STAGE,
     collect_training_data_cached,
-    detector_material,
+    fit_cached,
     run_scenario_cached,
-    train_detector_cached,
     training_material,
 )
 
@@ -394,9 +393,10 @@ def run_job(
 
     started = time.perf_counter()
     with obs.span(f"runner.stage.{DETECTOR_STAGE}"):
-        detector, detector_hit = train_detector_cached(
+        detector, detector_hit = fit_cached(
+            DETECTOR_STAGE,
             data_provider,
-            detector_material(train_mat, job.detector_kwargs),
+            train_mat,
             job.detector_kwargs,
             cache=cache,
             fault_token=fault_token,

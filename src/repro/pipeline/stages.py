@@ -6,9 +6,12 @@ attack scenario — are pure functions of ``(configuration, seeds)``.
 This module wraps each of them with optional memoisation in an
 :class:`~repro.pipeline.cache.ArtifactCache`:
 
-* :func:`collect_training_data_cached` — normal MHM traces;
-* :func:`train_detector_cached` — fitted PCA basis + GMM parameters
-  + calibrated thresholds (via ``MhmDetector.to_arrays``);
+* :func:`collect_training_data_cached` — normal MHM traces (and the
+  per-interval syscall matrices);
+* :func:`fit_cached` — one fitted detector per modality: the PCA
+  basis + GMM parameters + calibrated thresholds
+  (``DETECTOR_STAGE``) or the syscall execution contexts
+  (``CONTEXT_STAGE``), stored via the detector's ``to_arrays``;
 * :func:`run_scenario_cached` — a full attack-scenario MHM series
   with its event timeline.
 
@@ -44,7 +47,12 @@ from ..learn.detector import MhmDetector
 from ..sim.platform import Platform, PlatformConfig
 from .cache import ArtifactCache
 from .scenario import ScenarioEvent, ScenarioResult, ScenarioRunner
-from .training import TrainingData, collect_training_data, train_detector
+from .training import (
+    TrainingData,
+    collect_training_data,
+    train_context_detector,
+    train_detector,
+)
 
 __all__ = [
     "SCENARIOS",
@@ -56,13 +64,12 @@ __all__ = [
     "make_attack",
     "series_to_arrays",
     "series_from_arrays",
+    "FIT_STAGES",
     "training_material",
-    "detector_material",
-    "context_material",
+    "fit_material",
     "scenario_material",
     "collect_training_data_cached",
-    "train_detector_cached",
-    "train_context_detector_cached",
+    "fit_cached",
     "run_scenario_cached",
 ]
 
@@ -99,6 +106,15 @@ TRAINING_STAGE = "training"
 DETECTOR_STAGE = "detector"
 CONTEXT_STAGE = "context"
 SCENARIO_STAGE = "scenario"
+
+#: The fitted-detector stages, one entry per modality: the fit function
+#: over :class:`TrainingData` and the detector class whose
+#: ``to_arrays``/``from_arrays`` pair stores it.  A new modality is one
+#: entry here.
+FIT_STAGES = {
+    DETECTOR_STAGE: (train_detector, MhmDetector),
+    CONTEXT_STAGE: (train_context_detector, ContextDetector),
+}
 
 
 def make_attack(scenario: str, params: Optional[Mapping] = None):
@@ -168,16 +184,22 @@ def training_material(
     }
 
 
-def detector_material(train_material: dict, detector_kwargs: Mapping) -> dict:
-    # The kernels backend is a genuine input of the detector-fitting
-    # stage: reference and vectorized scoring agree only to rounding,
-    # and EM amplifies last-ulp differences across iterations — so the
-    # two backends must not share fitted-detector cache entries.  The
-    # simulation stages stay backend-agnostic: MHM counts are integer
-    # and bit-identical under both backends by construction.
+def fit_material(stage: str, train_material: dict, fit_kwargs: Mapping) -> dict:
+    """Cache-key material for a fitted detector of ``stage``.
+
+    The kernels backend is a genuine input of both fitting stages:
+    reference and vectorized scoring (the GMM densities, the
+    nearest-context distances) agree only to rounding, EM amplifies
+    last-ulp differences across iterations and quantile thresholds sit
+    directly on those distances — so the two backends must not share
+    fitted-detector cache entries.  The simulation stages stay
+    backend-agnostic: MHM counts are integer and bit-identical under
+    both backends by construction.  The fit kwargs sit under the stage
+    name (``"detector"`` / ``"context"``).
+    """
     return {
         "train": train_material,
-        "detector": dict(detector_kwargs),
+        stage: dict(fit_kwargs),
         "kernels_backend": kernels.active_backend(),
     }
 
@@ -202,21 +224,6 @@ def scenario_material(
         "scenario_seed": scenario_seed,
         "inject_offset_fraction": inject_offset_fraction,
         "capture": "syscalls-v1",
-    }
-
-
-def context_material(train_material: dict, context_kwargs: Mapping) -> dict:
-    """Cache-key material for a fitted context detector.
-
-    Mirrors :func:`detector_material`: the kernels backend is an input
-    (the nearest-context distance kernel's vectorized and scalar
-    backends agree only to rounding, and quantile thresholds sit
-    directly on those distances).
-    """
-    return {
-        "train": train_material,
-        "context": dict(context_kwargs),
-        "kernels_backend": kernels.active_backend(),
     }
 
 
@@ -278,65 +285,42 @@ def collect_training_data_cached(
     return data, hit
 
 
-def train_detector_cached(
+def fit_cached(
+    stage: str,
     data_provider: Callable[[], TrainingData],
-    material: dict,
-    detector_kwargs: Mapping,
+    train_material: dict,
+    fit_kwargs: Mapping,
     cache: Optional[ArtifactCache] = None,
     fault_token: str = "-",
-) -> Tuple[MhmDetector, bool]:
-    """Train (or load) a detector.
+) -> tuple:
+    """Fit (or load) the detector of ``stage`` (see :data:`FIT_STAGES`).
 
-    ``data_provider`` is only invoked on a cache miss, so a detector
-    hit skips the training-data stage entirely.  ``material`` must
-    identify the training data (use :func:`detector_material` over the
-    output of :func:`training_material`).
+    Returns ``(detector, hit)``.  ``data_provider`` is only invoked on
+    a cache miss, so a fitted-detector hit skips the training-data
+    stage entirely.  ``train_material`` identifies the training data
+    (the output of :func:`training_material`); the cache key is
+    :func:`fit_material` over it.
 
     Injection site ``stages.fit`` guards the training compute;
     ``fault_token`` should identify the invocation (the runner passes
     ``job-name@attempt`` so retried attempts roll fresh fault
     decisions).
     """
-    kwargs = dict(detector_kwargs)
+    fit, detector_class = FIT_STAGES[stage]
+    kwargs = dict(fit_kwargs)
+
+    def train():
+        faults.check("stages.fit", token=fault_token)
+        return fit(data_provider(), **kwargs)
+
     if cache is None:
-        faults.check("stages.fit", token=fault_token)
-        return train_detector(data_provider(), **kwargs), False
-
-    def compute() -> Dict[str, np.ndarray]:
-        faults.check("stages.fit", token=fault_token)
-        return train_detector(data_provider(), **kwargs).to_arrays()
-
-    arrays, hit = cache.fetch(DETECTOR_STAGE, material, compute)
-    return MhmDetector.from_arrays(arrays), hit
-
-
-def train_context_detector_cached(
-    data_provider: Callable[[], TrainingData],
-    material: dict,
-    context_kwargs: Mapping,
-    cache: Optional[ArtifactCache] = None,
-    fault_token: str = "-",
-) -> Tuple[ContextDetector, bool]:
-    """Train (or load) the syscall-context detector (second modality).
-
-    Same contract as :func:`train_detector_cached`: ``data_provider``
-    runs only on a miss, ``material`` must come from
-    :func:`context_material`, and the ``stages.fit`` injection site
-    guards the training compute.
-    """
-    from .training import train_context_detector
-
-    kwargs = dict(context_kwargs)
-    if cache is None:
-        faults.check("stages.fit", token=fault_token)
-        return train_context_detector(data_provider(), **kwargs), False
-
-    def compute() -> Dict[str, np.ndarray]:
-        faults.check("stages.fit", token=fault_token)
-        return train_context_detector(data_provider(), **kwargs).to_arrays()
-
-    arrays, hit = cache.fetch(CONTEXT_STAGE, material, compute)
-    return ContextDetector.from_arrays(arrays), hit
+        return train(), False
+    arrays, hit = cache.fetch(
+        stage,
+        fit_material(stage, train_material, kwargs),
+        lambda: train().to_arrays(),
+    )
+    return detector_class.from_arrays(arrays), hit
 
 
 def run_scenario_cached(
@@ -354,8 +338,7 @@ def run_scenario_cached(
     """Simulate (or load) one attack scenario on a fresh platform.
 
     Injection site ``stages.replay`` guards the simulation compute
-    (see :func:`train_detector_cached` for the ``fault_token``
-    convention).
+    (see :func:`fit_cached` for the ``fault_token`` convention).
     """
     attack_params = dict(attack_params or {})
 

@@ -1,26 +1,27 @@
-"""Detector registry: device → trained :class:`MhmDetector`.
+"""Detector registry: device profile → fitted detectors.
 
 A fleet mixes device *profiles* (named platform configurations from
-:mod:`repro.sim.fleet`); every device of a profile shares one detector
-trained on that profile's normal behaviour.  The registry trains
-detectors lazily through the PR-2 artifact cache
-(:func:`~repro.pipeline.stages.train_detector_cached`), so repeated
-serves of the same fleet configuration load fitted parameters
-bit-identically from disk instead of re-running EM.
+:mod:`repro.sim.fleet`); every device of a profile shares one
+:class:`MhmDetector` and, for the context-bearing modalities, one
+:class:`ContextDetector`, both trained on that profile's normal
+behaviour.  The registry fits them lazily through the artifact cache
+(:func:`~repro.pipeline.stages.fit_cached`), so repeated serves of the
+same fleet configuration load fitted parameters bit-identically from
+disk instead of re-running EM.
 
 Shard workers never train: the parent process resolves every needed
 detector once, exports the fitted parameters with
-:meth:`DetectorRegistry.arrays_payload`, and workers rebuild them via
-:meth:`DetectorRegistry.detectors_from_payload` —
-``MhmDetector.from_arrays(to_arrays(d))`` is bit-exact, so every shard
-scores with numerically identical detectors.
+:meth:`DetectorRegistry.fleet_payload`, and workers rebuild them via
+:meth:`DetectorRegistry.from_fleet_payload` —
+``from_arrays(to_arrays(d))`` is bit-exact, so every shard scores with
+numerically identical detectors.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -28,12 +29,12 @@ from ..learn.contexts import ContextDetector
 from ..learn.detector import MhmDetector
 from ..pipeline.cache import ArtifactCache
 from ..pipeline.stages import (
+    CONTEXT_STAGE,
+    DETECTOR_STAGE,
     collect_training_data_cached,
-    context_material,
-    detector_material,
+    fit_cached,
     training_material,
 )
-from ..pipeline.stages import train_context_detector_cached, train_detector_cached
 from ..sim.fleet import profile_config
 
 __all__ = ["FleetTrainSpec", "DetectorRegistry"]
@@ -72,7 +73,7 @@ def _profile_seeds(root_seed: int, profile: str) -> tuple:
 
 
 class DetectorRegistry:
-    """Lazily trains and memoises one detector per device profile."""
+    """Lazily fits and memoises each profile's detectors."""
 
     def __init__(
         self,
@@ -83,43 +84,17 @@ class DetectorRegistry:
         self.root_seed = root_seed
         self.train = train
         self.cache = cache
-        self._detectors: Dict[str, MhmDetector] = {}
-        self._contexts: Dict[str, ContextDetector] = {}
+        self._fitted: Dict[Tuple[str, str], object] = {}
         self.cache_hits = 0
 
     def detector_for(self, profile: str) -> MhmDetector:
-        detector = self._detectors.get(profile)
-        if detector is None:
-            detector = self._train(profile)
-            self._detectors[profile] = detector
-        return detector
+        return self._fit(DETECTOR_STAGE, profile)
 
     def context_detector_for(self, profile: str) -> ContextDetector:
-        """The profile's second-modality model (trained lazily, cached)."""
-        detector = self._contexts.get(profile)
-        if detector is None:
-            detector = self._train_context(profile)
-            self._contexts[profile] = detector
-        return detector
-
-    def detectors(self, profiles: Iterable[str]) -> Dict[str, MhmDetector]:
-        return {profile: self.detector_for(profile) for profile in profiles}
+        """The profile's second-modality model (fitted lazily, cached)."""
+        return self._fit(CONTEXT_STAGE, profile)
 
     # -- shard worker hand-off -----------------------------------------
-    def arrays_payload(self, profiles: Iterable[str]) -> Dict[str, dict]:
-        """Fitted parameters per profile, picklable for shard workers."""
-        return {
-            profile: self.detector_for(profile).to_arrays()
-            for profile in sorted(set(profiles))
-        }
-
-    def context_arrays_payload(self, profiles: Iterable[str]) -> Dict[str, dict]:
-        """Fitted context models per profile, picklable for workers."""
-        return {
-            profile: self.context_detector_for(profile).to_arrays()
-            for profile in sorted(set(profiles))
-        }
-
     def fleet_payload(
         self, profiles: Iterable[str], modality: str = "mhm"
     ) -> Dict[str, dict]:
@@ -129,7 +104,7 @@ class DetectorRegistry:
         arrays plus (for the context-bearing modalities) the context
         model's — everything a shard needs to build its
         :class:`~repro.kernels.FleetScorer` bank, shipped in a single
-        payload instead of two parallel dicts.
+        payload.
         """
         need_context = modality != "mhm"
         return {
@@ -162,41 +137,25 @@ class DetectorRegistry:
         }
         return detectors, (contexts or None)
 
-    @staticmethod
-    def detectors_from_payload(payload: Dict[str, dict]) -> Dict[str, MhmDetector]:
-        """Rebuild the detectors inside a shard worker (bit-exact)."""
-        return {
-            profile: MhmDetector.from_arrays(arrays)
-            for profile, arrays in payload.items()
-        }
-
-    @staticmethod
-    def contexts_from_payload(
-        payload: Dict[str, dict]
-    ) -> Dict[str, ContextDetector]:
-        """Rebuild the context models inside a shard worker (bit-exact)."""
-        return {
-            profile: ContextDetector.from_arrays(arrays)
-            for profile, arrays in payload.items()
-        }
-
     # -- training ------------------------------------------------------
-    def _train(self, profile: str) -> MhmDetector:
+    def _fit(self, stage: str, profile: str):
+        """The profile's fitted detector of ``stage``, fitted once.
+
+        A training-data fetch runs only when the fit itself misses the
+        cache; each cache hit (fit or training data) counts in
+        :attr:`cache_hits`.
+        """
+        fitted = self._fitted.get((stage, profile))
+        if fitted is not None:
+            return fitted
         config = profile_config(profile)
         base_seed, detector_seed = _profile_seeds(self.root_seed, profile)
         spec = self.train
-        detector_kwargs = {
-            "num_gaussians": spec.num_gaussians,
-            "em_restarts": spec.em_restarts,
-            "seed": detector_seed,
-        }
-        train_mat = training_material(
-            config,
-            spec.runs,
-            spec.intervals_per_run,
-            spec.validation_intervals,
-            base_seed,
-        )
+        fit_kwargs = {"seed": detector_seed}
+        if stage == DETECTOR_STAGE:
+            fit_kwargs.update(
+                num_gaussians=spec.num_gaussians, em_restarts=spec.em_restarts
+            )
 
         def data_provider():
             data, hit = collect_training_data_cached(
@@ -207,54 +166,23 @@ class DetectorRegistry:
                 base_seed=base_seed,
                 cache=self.cache,
             )
-            if hit:
-                self.cache_hits += 1
+            self.cache_hits += hit
             return data
 
-        detector, hit = train_detector_cached(
+        fitted, hit = fit_cached(
+            stage,
             data_provider,
-            detector_material(train_mat, detector_kwargs),
-            detector_kwargs,
-            cache=self.cache,
-            fault_token=f"serve:{profile}",
-        )
-        if hit:
-            self.cache_hits += 1
-        return detector
-
-    def _train_context(self, profile: str) -> ContextDetector:
-        config = profile_config(profile)
-        base_seed, detector_seed = _profile_seeds(self.root_seed, profile)
-        spec = self.train
-        context_kwargs = {"seed": detector_seed}
-        train_mat = training_material(
-            config,
-            spec.runs,
-            spec.intervals_per_run,
-            spec.validation_intervals,
-            base_seed,
-        )
-
-        def data_provider():
-            data, hit = collect_training_data_cached(
+            training_material(
                 config,
-                runs=spec.runs,
-                intervals_per_run=spec.intervals_per_run,
-                validation_intervals=spec.validation_intervals,
-                base_seed=base_seed,
-                cache=self.cache,
-            )
-            if hit:
-                self.cache_hits += 1
-            return data
-
-        detector, hit = train_context_detector_cached(
-            data_provider,
-            context_material(train_mat, context_kwargs),
-            context_kwargs,
+                spec.runs,
+                spec.intervals_per_run,
+                spec.validation_intervals,
+                base_seed,
+            ),
+            fit_kwargs,
             cache=self.cache,
             fault_token=f"serve:{profile}",
         )
-        if hit:
-            self.cache_hits += 1
-        return detector
+        self.cache_hits += hit
+        self._fitted[(stage, profile)] = fitted
+        return fitted

@@ -433,14 +433,7 @@ class ShardWorker:
             self._metric_context_flags.inc()
         if self.modality == "contexts":
             return context_flag
-        rule = self.ensemble.rule
-        if rule == "or":
-            return mhm_flag or context_flag
-        if rule == "and":
-            return mhm_flag and context_flag
-        weight = self.ensemble.mhm_weight
-        vote = weight * mhm_flag + (1.0 - weight) * context_flag
-        return vote >= self.ensemble.vote_threshold
+        return self.ensemble.fuse(mhm_flag, context_flag)
 
     def _record(
         self,

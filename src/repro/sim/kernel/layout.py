@@ -362,9 +362,6 @@ class KernelLayout:
         """Look up a function by name (KeyError when unknown)."""
         return self._by_name[name]
 
-    def has_symbol(self, name: str) -> bool:
-        return name in self._by_name
-
     def find(self, address: int) -> Optional[KernelFunction]:
         """The function containing ``address`` (None if out of image)."""
         if not self.base_address <= address < self.end_address:
@@ -447,7 +444,3 @@ def default_heatmap_spec(granularity: int = 2048) -> HeatMapSpec:
         region_size=KERNEL_TEXT_SIZE,
         granularity=granularity,
     )
-
-
-def _subsystem_fill_shares_sum() -> float:  # used by tests
-    return sum(share for _, share in _SUBSYSTEM_FILL)

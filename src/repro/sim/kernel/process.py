@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 from ..engine import Simulator
 from ..task import TaskDefinition
 from .kernel import Kernel
-from .scheduler import RMScheduler, TaskControl
+from .scheduler import RMScheduler
 
 __all__ = ["ProcessRecord", "ProcessManager"]
 
@@ -161,9 +161,3 @@ class ProcessManager:
 
     def alive_processes(self) -> list[str]:
         return sorted(n for n, r in self.processes.items() if r.alive)
-
-    def admitted_task(self, name: str) -> TaskControl:
-        scheduler = self._scheduler_running(name)
-        if scheduler is None:
-            raise KeyError(f"task {name!r} is not admitted on any core")
-        return scheduler.task(name)

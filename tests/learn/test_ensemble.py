@@ -104,6 +104,28 @@ class TestFusionRules:
     def test_rule_registry_is_exhaustive(self):
         assert ENSEMBLE_RULES == ("or", "and", "weighted")
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EnsembleConfig(rule="or"),
+            EnsembleConfig(rule="and"),
+            EnsembleConfig(rule="weighted", mhm_weight=0.7, vote_threshold=0.5),
+        ],
+        ids=ENSEMBLE_RULES,
+    )
+    def test_fuse_on_bools_matches_fuse_on_arrays(self, config):
+        # The serving worker fuses one record's flags (bools, or numpy
+        # bool scalars off a density comparison); the batch and CLI
+        # paths fuse whole arrays.  Both must give the same verdicts.
+        pairs = [(False, False), (False, True), (True, False), (True, True)]
+        fused = config.fuse(
+            np.array([m for m, _ in pairs]), np.array([c for _, c in pairs])
+        )
+        assert fused.dtype == bool
+        for (mhm, context), expected in zip(pairs, fused):
+            assert config.fuse(mhm, context) == expected
+            assert config.fuse(np.bool_(mhm), context) == expected
+
 
 class TestCalibrate:
     def test_calibrated_or_rate_stays_within_budget(self):

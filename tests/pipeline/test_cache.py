@@ -13,11 +13,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro.kernels import BACKENDS, use_backend
 from repro.pipeline.cache import (
     CACHE_NAMESPACE,
     ArtifactCache,
     default_cache_root,
 )
+from repro.pipeline.stages import CONTEXT_STAGE, DETECTOR_STAGE, fit_material
 
 STAGE = "unit"
 
@@ -86,6 +88,31 @@ class TestKeys:
         two = cache.key(STAGE, {"config": PlatformConfig(seed=2)})
         assert one != two
         assert one == cache.key(STAGE, {"config": PlatformConfig(seed=1)})
+
+
+class TestFitMaterial:
+    """The fitted-detector cache keys, pinned to the dicts users' caches
+    were written under: any change to them re-fits every detector."""
+
+    TRAIN = {"config": "cfg", "runs": 2, "base_seed": 7}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_both_stages_keep_their_material(self, backend):
+        detector_kwargs = {"num_gaussians": 5, "em_restarts": 3, "seed": 1}
+        context_kwargs = {"seed": 1}
+        with use_backend(backend):
+            assert fit_material(
+                DETECTOR_STAGE, self.TRAIN, detector_kwargs
+            ) == {
+                "train": self.TRAIN,
+                "detector": detector_kwargs,
+                "kernels_backend": backend,
+            }
+            assert fit_material(CONTEXT_STAGE, self.TRAIN, context_kwargs) == {
+                "train": self.TRAIN,
+                "context": context_kwargs,
+                "kernels_backend": backend,
+            }
 
 
 class TestCorruption:

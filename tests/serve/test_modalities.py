@@ -116,6 +116,49 @@ class TestEnsembleVerdicts:
             )
 
 
+class TestEnsembleRules:
+    """The worker's non-default fusion rules, end to end."""
+
+    def test_even_weighted_vote_serves_like_or(
+        self, serial_ensemble_report, ensemble_config
+    ):
+        # 0.5 x m + 0.5 x c >= 0.5  <=>  m or c.
+        assert ensemble_config.ensemble.rule == "or"
+        weighted = FleetService(
+            dataclasses.replace(
+                ensemble_config,
+                ensemble=EnsembleConfig(
+                    rule="weighted", mhm_weight=0.5, vote_threshold=0.5
+                ),
+            )
+        ).run()
+        assert (
+            weighted.canonical_dict()
+            == serial_ensemble_report.canonical_dict()
+        )
+
+    def test_and_rule_flags_no_more_than_or(
+        self, serial_ensemble_report, ensemble_config
+    ):
+        both = FleetService(
+            dataclasses.replace(
+                ensemble_config, ensemble=EnsembleConfig(rule="and")
+            )
+        ).run()
+        by_id = {d.device_id: d for d in serial_ensemble_report.device_reports}
+        for device in both.device_reports:
+            either = by_id[device.device_id]
+            assert device.flagged <= either.flagged
+            # Both flags are computed before fusing, so the context
+            # channel's own state does not depend on the rule.
+            assert device.context_flagged == either.context_flagged
+            assert device.context_drift_max == either.context_drift_max
+        # The rule is live on this fleet: some flag loses its partner.
+        assert sum(d.flagged for d in both.device_reports) < sum(
+            d.flagged for d in serial_ensemble_report.device_reports
+        )
+
+
 class TestModalityTelemetry:
     def test_per_modality_counters_count(self, ensemble_config):
         with obs.observed() as (metrics, _tracer):

@@ -40,9 +40,11 @@ class TestRegistry:
 
     def test_payload_round_trip_scores_bit_identically(self, serve_cache, rng):
         registry = DetectorRegistry(root_seed=3, train=TINY_TRAIN, cache=serve_cache)
-        payload = registry.arrays_payload(["baseline", "baseline"])
+        payload = registry.fleet_payload(["baseline", "baseline"])
         assert set(payload) == {"baseline"}
-        rebuilt = DetectorRegistry.detectors_from_payload(payload)["baseline"]
+        detectors, contexts = DetectorRegistry.from_fleet_payload(payload)
+        assert contexts is None
+        rebuilt = detectors["baseline"]
         original = registry.detector_for("baseline")
         spec = original.eigenmemory.mean_.shape[0]
         batch = rng.uniform(0, 50, size=(5, spec))

@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import EXIT_ALARM, EXIT_JOB_FAILURES, EXIT_OK, build_parser, main
+from repro.learn.ensemble import EnsembleConfig
 from repro.obs.snapshots import latest_snapshots
+from repro.pipeline.experiments import run_scenario_experiment
+from repro.pipeline.stages import make_attack
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +504,40 @@ class TestMatrixCommand:
         for column in ("gmm-alarm", "gmm-interval", "drift", "fpr-budget"):
             assert column in captured.out
         assert "DIVERGED" not in captured.out
+
+
+@pytest.mark.contexts
+class TestDetectCommand:
+    """`repro detect`: one scenario judged under a fused modality."""
+
+    @pytest.mark.parametrize(
+        "rule, fuse", [("and", np.logical_and), ("or", np.logical_or)]
+    )
+    def test_rule_fuses_both_modalities(
+        self, quick_artifacts, capsys, rule, fuse
+    ):
+        # Seed 0 at quick scale is the session-memoised reference
+        # artifacts, so --no-cache trains nothing here.
+        code = main(
+            [
+                "detect", "--json", "--no-cache", "--modality", "ensemble",
+                "--ensemble-rule", rule,
+            ]
+        )
+        report = json.loads(capsys.readouterr().out)
+        config = EnsembleConfig(rule=rule)
+        outcome = run_scenario_experiment(
+            make_attack("mimicry"), quick_artifacts, scenario_seed=999
+        )
+        fused = fuse(
+            outcome.flags(config.p_mhm),
+            outcome.context_flags(config.p_context),
+        )
+        assert report["modality"] == "ensemble"
+        assert report["detection_rate"] == float(
+            fused[outcome.ground_truth].mean()
+        )
+        assert code == (EXIT_ALARM if report["detected"] else EXIT_OK)
 
 
 class TestServeCommand:
