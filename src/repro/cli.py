@@ -100,7 +100,7 @@ from .conformance.matrix import SIZINGS as _SIZINGS
 from .conformance.matrix import build_matrix, interval_alert_floor
 from .faults import FaultPlan
 from .learn.detector import MhmDetector
-from .learn.ensemble import ENSEMBLE_RULES, EnsembleConfig
+from .learn.ensemble import ENSEMBLE_RULES, MODALITIES, EnsembleConfig
 from .pipeline.cache import ArtifactCache
 from .pipeline.experiments import (
     PAPER_SCALE,
@@ -114,7 +114,6 @@ from .pipeline.scenario import ScenarioRunner
 from .pipeline.stages import SCENARIOS as _SCENARIOS
 from .pipeline.stages import make_attack
 from .pipeline.training import collect_training_data, train_detector
-from .serve.worker import MODALITIES as _MODALITIES
 from .serve import (
     SERVE_TRACE_CATEGORIES,
     FleetReport,
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=sorted(_SCENARIOS), default="mimicry"
     )
     detect.add_argument(
-        "--modality", choices=_MODALITIES, default="ensemble",
+        "--modality", choices=MODALITIES, default="ensemble",
         help="which detector(s) decide the verdict (default ensemble)",
     )
     detect.add_argument(
@@ -514,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="θ_p calibration quantile in percent (default 1.0)",
     )
     serve.add_argument(
-        "--modality", choices=_MODALITIES, default="mhm",
+        "--modality", choices=MODALITIES, default="mhm",
         help="scoring modality: mhm (default), contexts, or ensemble "
         "(both, budget split per --mhm-share)",
     )
@@ -1451,23 +1450,17 @@ def _cmd_detect(args) -> int:
         )
         p = args.quantile
         modality = args.modality
-        if modality == "ensemble":
-            p_mhm, p_context = ensemble.p_mhm, ensemble.p_context
-        else:
-            p_mhm = p if modality == "mhm" else None
-            p_context = p if modality == "contexts" else None
-        mhm_flags = outcome.flags(p_mhm) if p_mhm is not None else None
+        p_mhm, p_context = ensemble.budgets(modality, p)
+        # Only the channels the modality reads: the report's context
+        # fields stay null under mhm.
+        mhm_flags = outcome.flags(p_mhm) if modality != "contexts" else None
         context_flags = (
-            outcome.context_flags(p_context) if p_context is not None else None
+            outcome.context_flags(p_context) if modality != "mhm" else None
         )
+        fused = ensemble.verdict(modality, mhm_flags, context_flags)
     except (ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.USAGE
-
-    if mhm_flags is not None and context_flags is not None:
-        fused = ensemble.fuse(mhm_flags, context_flags)
-    else:
-        fused = mhm_flags if mhm_flags is not None else context_flags
 
     mask = outcome.ground_truth
     rate = float(fused[mask].mean()) if mask.any() else 0.0

@@ -17,9 +17,12 @@ Fusion rules:
 ``and``
     Flag only when both modalities agree — minimum false positives,
     for fleets where an alarm pages a human.
-``weighted``
-    ``w x mhm + (1 - w) x context >= vote_threshold`` — a soft vote
-    between the two extremes.
+
+(A weighted vote over the two boolean flags always reduces to one of
+these, to one modality, or to a constant.)  Per scoring modality in
+:data:`MODALITIES`, :meth:`EnsembleConfig.budgets` and
+:meth:`EnsembleConfig.verdict` decide each channel's budget and the
+verdict, for the serving worker and ``repro detect`` alike.
 
 The combiner never retrains anything: it reads per-interval MHM log
 densities and context scores that the two fitted detectors produced,
@@ -40,12 +43,25 @@ from .detector import MhmDetector
 
 __all__ = [
     "ENSEMBLE_RULES",
+    "MODALITIES",
     "EnsembleConfig",
     "EnsembleDetector",
     "allowed_false_positive_rate",
+    "check_modality",
 ]
 
-ENSEMBLE_RULES = ("or", "and", "weighted")
+ENSEMBLE_RULES = ("or", "and")
+
+#: Scoring modes: MHM densities only, syscall contexts only, or both
+#: fused under an :class:`EnsembleConfig` rule.
+MODALITIES = ("mhm", "contexts", "ensemble")
+
+
+def check_modality(modality: str) -> None:
+    if modality not in MODALITIES:
+        raise ValueError(
+            f"unknown modality {modality!r}; choose from {MODALITIES}"
+        )
 
 
 def allowed_false_positive_rate(p_percent: float, samples: int) -> float:
@@ -81,8 +97,6 @@ class EnsembleConfig:
     p_percent: float = 1.0
     mhm_share: float = 0.5
     rule: str = "or"
-    mhm_weight: float = 0.5
-    vote_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p_percent < 100.0:
@@ -91,13 +105,10 @@ class EnsembleConfig:
             raise ValueError("mhm_share must be in (0, 1)")
         if self.rule not in ENSEMBLE_RULES:
             raise ValueError(
-                f"unknown ensemble rule {self.rule!r}; "
-                f"choose from {ENSEMBLE_RULES}"
+                f"unknown ensemble rule {self.rule!r}; choose from "
+                f"{ENSEMBLE_RULES} (the 'weighted' rule was removed: "
+                "'or' gives the verdicts its reachable setting gave)"
             )
-        if not 0.0 <= self.mhm_weight <= 1.0:
-            raise ValueError("mhm_weight must be in [0, 1]")
-        if not 0.0 < self.vote_threshold <= 1.0:
-            raise ValueError("vote_threshold must be in (0, 1]")
 
     @property
     def p_mhm(self) -> float:
@@ -117,12 +128,23 @@ class EnsembleConfig:
         """
         if self.rule == "or":
             return mhm_flags | context_flags
-        if self.rule == "and":
-            return mhm_flags & context_flags
-        weight = self.mhm_weight
-        votes = weight * mhm_flags + (1.0 - weight) * context_flags
-        return votes >= self.vote_threshold
+        return mhm_flags & context_flags
 
+    def budgets(self, modality: str, p_percent: float) -> tuple[float, float]:
+        """``(p_mhm, p_context)`` under ``modality``: this config's exact
+        split for ``ensemble``, all of ``p_percent`` for one modality."""
+        check_modality(modality)
+        if modality == "ensemble":
+            return self.p_mhm, self.p_context
+        return p_percent, p_percent
+
+    def verdict(self, modality: str, mhm_flags, context_flags):
+        """The verdict under ``modality``, on bools or arrays like
+        :meth:`fuse`; a channel the modality does not read may be None."""
+        check_modality(modality)
+        if modality == "ensemble":
+            return self.fuse(mhm_flags, context_flags)
+        return mhm_flags if modality == "mhm" else context_flags
 
 class EnsembleDetector:
     """Fuses per-interval verdicts from the two fitted modalities.
@@ -232,8 +254,6 @@ class EnsembleDetector:
             (
                 f"rule={self.config.rule};p={self.config.p_percent!r};"
                 f"share={self.config.mhm_share!r};"
-                f"weight={self.config.mhm_weight!r};"
-                f"vote={self.config.vote_threshold!r};"
                 f"theta_mhm={self.theta_mhm.hex()};"
                 f"theta_context={self.theta_context.hex()}"
             ).encode()

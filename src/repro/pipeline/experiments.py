@@ -10,7 +10,7 @@ Two scales are provided:
 * ``QUICK_SCALE`` — a reduced version for unit/integration tests.
 
 Training is expensive, so reference artifacts are memoised per
-(scale, config) within the process.
+(scale, config, seed, kernel backend) within the process.
 """
 
 from __future__ import annotations
@@ -130,7 +130,9 @@ def get_reference_artifacts(
     through :func:`~repro.pipeline.stages.fit_cached`.
     """
     config = config or PlatformConfig()
-    key = (scale.name, config, seed)
+    # The backend is part of the key: its fits differ in the low bits,
+    # so a reference-backend call must not get default-backend models.
+    key = (scale.name, config, seed, kernels.active_backend())
     if use_cache and key in _ARTIFACT_CACHE:
         return _ARTIFACT_CACHE[key]
     base_seed = 100 + seed

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import faults, kernels, obs
 from ..faults.plan import FaultPlan
 from ..kernels.blas_threads import capped_process_pool
-from ..learn.ensemble import EnsembleConfig
+from ..learn.ensemble import EnsembleConfig, check_modality
 from ..obs.manifest import to_jsonable
 from ..obs.snapshots import SnapshotWriter
 from ..pipeline.cache import ArtifactCache
@@ -50,7 +50,7 @@ from .drift import DriftMonitor, DriftPolicy
 from .recalibrate import RecalibrationPolicy
 from .registry import DetectorRegistry, FleetTrainSpec
 from .report import DeviceReport, FleetReport
-from .worker import MODALITIES, ShardWorker
+from .worker import ShardWorker
 
 __all__ = ["ServeConfig", "TelemetryConfig", "FleetService"]
 
@@ -118,7 +118,6 @@ class ServeConfig:
     profiles: Tuple[str, ...] = ("baseline", "rtos", "netload")
     attacked_devices: int = 0
     attack_scenarios: Tuple[str, ...] = tuple(sorted(SCENARIOS))
-    inject_fraction: float = 0.5
     train: FleetTrainSpec = field(default_factory=FleetTrainSpec)
     cache_dir: Optional[str] = None
     use_cache: bool = True
@@ -146,11 +145,7 @@ class ServeConfig:
     stall_timeout: Optional[float] = 30.0
 
     def __post_init__(self) -> None:
-        if self.modality not in MODALITIES:
-            raise ValueError(
-                f"unknown modality {self.modality!r}; "
-                f"choose from {MODALITIES}"
-            )
+        check_modality(self.modality)
         if self.devices < 1:
             raise ValueError("devices must be >= 1")
         if not 1 <= self.shards <= self.devices:
@@ -312,7 +307,6 @@ class FleetService:
             profiles=config.profiles,
             attacked_devices=config.attacked_devices,
             attack_scenarios=config.attack_scenarios,
-            inject_fraction=config.inject_fraction,
         )
 
     def _cache(self) -> Optional[ArtifactCache]:

@@ -48,7 +48,6 @@ from .drift import DriftMonitor
 from .report import DeviceReport, device_digest
 
 __all__ = [
-    "MODALITIES",
     "DeviceState",
     "ScoredInterval",
     "ShardWorker",
@@ -56,10 +55,6 @@ __all__ = [
 
 #: Verdict labels recorded per scored interval.
 OK, ANOMALOUS, SKIPPED = "ok", "anomalous", "skipped"
-
-#: Scoring modes: MHM densities only, syscall contexts only, or both
-#: fused under an :class:`~repro.learn.ensemble.EnsembleConfig` rule.
-MODALITIES = ("mhm", "contexts", "ensemble")
 
 
 @dataclass(frozen=True)
@@ -129,10 +124,8 @@ class ShardWorker:
     ):
         if batch_pad < 1:
             raise ValueError("batch_pad must be >= 1")
-        if modality not in MODALITIES:
-            raise ValueError(
-                f"unknown modality {modality!r}; choose from {MODALITIES}"
-            )
+        self.ensemble = ensemble if ensemble is not None else EnsembleConfig()
+        mhm_p, context_p = self.ensemble.budgets(modality, p_percent)
         if modality != "mhm" and not context_detectors:
             raise ValueError(
                 f"modality {modality!r} needs per-profile context detectors"
@@ -144,20 +137,13 @@ class ShardWorker:
         self.shard = shard
         self.modality = modality
         self.context_detectors = context_detectors or {}
-        self.ensemble = ensemble if ensemble is not None else EnsembleConfig()
         self.drift = drift if drift is not None else DriftMonitor(shard=shard)
-        # The MHM budget: the full p under single-modality scoring, the
-        # ensemble's share of it when both modalities split the budget.
-        mhm_p = self.ensemble.p_mhm if modality == "ensemble" else p_percent
         self.thetas = {
             profile: detector.threshold(mhm_p)
             for profile, detector in detectors.items()
         }
         self.context_thetas: Dict[str, float] = {}
         if modality != "mhm":
-            context_p = (
-                self.ensemble.p_context if modality == "ensemble" else p_percent
-            )
             self.context_thetas = {
                 profile: context.threshold(context_p)
                 for profile, context in self.context_detectors.items()
@@ -424,16 +410,14 @@ class ShardWorker:
         mhm_flag = log_density < theta
         if mhm_flag:
             self._metric_mhm_flags.inc()
-        if self.modality == "mhm":
-            return mhm_flag
-        context_flag = self._context_flag(
-            state, record, context_score, context_residual
-        )
-        if context_flag:
-            self._metric_context_flags.inc()
-        if self.modality == "contexts":
-            return context_flag
-        return self.ensemble.fuse(mhm_flag, context_flag)
+        context_flag = None
+        if self.modality != "mhm":
+            context_flag = self._context_flag(
+                state, record, context_score, context_residual
+            )
+            if context_flag:
+                self._metric_context_flags.inc()
+        return self.ensemble.verdict(self.modality, mhm_flag, context_flag)
 
     def _record(
         self,

@@ -153,7 +153,6 @@ def build_fleet_specs(
     profiles: Sequence[str] = ("baseline", "rtos", "netload"),
     attacked_devices: int = 0,
     attack_scenarios: Optional[Sequence[str]] = None,
-    inject_fraction: float = 0.5,
 ) -> List[DeviceSpec]:
     """Expand ``(devices, root_seed)`` into deterministic device specs.
 
@@ -161,16 +160,14 @@ def build_fleet_specs(
     ``SeedSequence(root_seed).spawn`` — device *i*'s seed is a pure
     function of ``root_seed`` and *i*.  ``attacked_devices`` devices
     (spread evenly across the index range) are assigned scenarios from
-    ``attack_scenarios`` round-robin, injected at
-    ``int(intervals * inject_fraction)``; reversible attacks revert
+    ``attack_scenarios`` round-robin, injected halfway through the
+    stream (``max(1, intervals // 2)``); reversible attacks revert
     three quarters of the way through the remaining window.
     """
     if devices < 1:
         raise ValueError("devices must be >= 1")
     if intervals < 1:
         raise ValueError("intervals must be >= 1")
-    if not 0 < inject_fraction < 1:
-        raise ValueError("inject_fraction must be in (0, 1)")
     if not 0 <= attacked_devices <= devices:
         raise ValueError("attacked_devices must be in [0, devices]")
     profiles = tuple(profiles)
@@ -192,7 +189,7 @@ def build_fleet_specs(
     attacked = {
         (i * devices) // attacked_devices for i in range(attacked_devices)
     }
-    inject_at = max(1, int(intervals * inject_fraction))
+    inject_at = max(1, intervals // 2)
     children = np.random.SeedSequence(root_seed).spawn(devices)
 
     specs: List[DeviceSpec] = []

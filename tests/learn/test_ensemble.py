@@ -13,6 +13,7 @@ import pytest
 
 from repro.learn.ensemble import (
     ENSEMBLE_RULES,
+    MODALITIES,
     EnsembleConfig,
     EnsembleDetector,
     allowed_false_positive_rate,
@@ -53,13 +54,42 @@ class TestBudgetMath:
             {"mhm_share": 0.0},
             {"mhm_share": 1.0},
             {"rule": "xor"},
-            {"mhm_weight": 1.5},
-            {"vote_threshold": 0.0},
+            {"p_percent": float("nan")},
+            {"mhm_share": float("nan")},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EnsembleConfig(**kwargs)
+
+    def test_removed_weighted_rule_points_at_or(self):
+        with pytest.raises(ValueError, match="removed") as excinfo:
+            EnsembleConfig(rule="weighted")
+        assert "'or'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("share", [0.1, 1.0 / 3.0, 0.5, 0.9])
+    def test_ensemble_budgets_are_the_exact_split(self, share):
+        config = EnsembleConfig(p_percent=1.0, mhm_share=share)
+        # The ensemble spends the config's own budget, whatever p the
+        # caller passes for single-modality scoring.
+        assert config.budgets("ensemble", 2.0) == (
+            config.p_mhm,
+            config.p_context,
+        )
+
+    @pytest.mark.parametrize("modality", ["mhm", "contexts"])
+    def test_single_modality_budgets_spend_the_whole_p(self, modality):
+        assert EnsembleConfig(mhm_share=0.3).budgets(modality, 2.0) == (
+            2.0,
+            2.0,
+        )
+
+    def test_unknown_modality_rejected(self):
+        config = EnsembleConfig()
+        with pytest.raises(ValueError, match="modality"):
+            config.budgets("audio", 1.0)
+        with pytest.raises(ValueError, match="modality"):
+            config.verdict("audio", True, True)
 
 
 class TestFusionRules:
@@ -84,33 +114,17 @@ class TestFusionRules:
         fused = hand_ensemble("and").classify(self.DENSITIES, self.SCORES)
         np.testing.assert_array_equal(fused, [False, False, True, False])
 
-    def test_weighted_rule_majority(self):
-        fused = hand_ensemble(
-            "weighted", mhm_weight=0.7, vote_threshold=0.5
-        ).classify(self.DENSITIES, self.SCORES)
-        # 0.7 x mhm + 0.3 x context: only MHM votes clear 0.5.
-        np.testing.assert_array_equal(fused, [True, False, True, False])
-
-    def test_weighted_rule_equal_weights_acts_like_or(self):
-        fused = hand_ensemble(
-            "weighted", mhm_weight=0.5, vote_threshold=0.5
-        ).classify(self.DENSITIES, self.SCORES)
-        np.testing.assert_array_equal(fused, [True, True, True, False])
-
     def test_misaligned_series_rejected(self):
         with pytest.raises(ValueError, match="align"):
             hand_ensemble().modality_flags(self.DENSITIES, self.SCORES[:2])
 
     def test_rule_registry_is_exhaustive(self):
-        assert ENSEMBLE_RULES == ("or", "and", "weighted")
+        assert ENSEMBLE_RULES == ("or", "and")
+        assert MODALITIES == ("mhm", "contexts", "ensemble")
 
     @pytest.mark.parametrize(
         "config",
-        [
-            EnsembleConfig(rule="or"),
-            EnsembleConfig(rule="and"),
-            EnsembleConfig(rule="weighted", mhm_weight=0.7, vote_threshold=0.5),
-        ],
+        [EnsembleConfig(rule=rule) for rule in ENSEMBLE_RULES],
         ids=ENSEMBLE_RULES,
     )
     def test_fuse_on_bools_matches_fuse_on_arrays(self, config):
@@ -126,6 +140,42 @@ class TestFusionRules:
             assert config.fuse(mhm, context) == expected
             assert config.fuse(np.bool_(mhm), context) == expected
 
+
+    @pytest.mark.parametrize("rule", ENSEMBLE_RULES)
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_verdict_matches_per_modality_expressions(self, modality, rule):
+        # What the serving worker and `repro detect` each spelled out
+        # inline before the decision moved into EnsembleConfig.verdict.
+        def expected(mhm, context):
+            if modality == "mhm":
+                return mhm
+            if modality == "contexts":
+                return context
+            return (mhm or context) if rule == "or" else (mhm and context)
+
+        config = EnsembleConfig(rule=rule)
+        pairs = [(False, False), (False, True), (True, False), (True, True)]
+        for mhm, context in pairs:
+            assert config.verdict(modality, mhm, context) == expected(
+                mhm, context
+            )
+            assert config.verdict(
+                modality, np.bool_(mhm), np.bool_(context)
+            ) == expected(mhm, context)
+        verdicts = config.verdict(
+            modality,
+            np.array([m for m, _ in pairs]),
+            np.array([c for _, c in pairs]),
+        )
+        assert verdicts.dtype == bool
+        np.testing.assert_array_equal(
+            verdicts, [expected(m, c) for m, c in pairs]
+        )
+
+    def test_verdict_ignores_the_unscored_channel(self):
+        config = EnsembleConfig()
+        assert config.verdict("mhm", True, None) is True
+        assert config.verdict("contexts", None, False) is False
 
 class TestCalibrate:
     def test_calibrated_or_rate_stays_within_budget(self):

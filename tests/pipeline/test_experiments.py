@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.pipeline.experiments import (
     PAPER_SCALE,
     QUICK_SCALE,
+    ExperimentScale,
     get_reference_artifacts,
     run_app_launch_experiment,
     run_rootkit_experiment,
@@ -35,6 +37,31 @@ class TestArtifacts:
     def test_cache_bypass(self, quick_artifacts):
         fresh = get_reference_artifacts(QUICK_SCALE, use_cache=False)
         assert fresh is not quick_artifacts
+
+    def test_memo_keyed_on_kernel_backend(self):
+        """A reference-backend call trains its own models instead of
+        returning the default backend's memoised ones."""
+        tiny = ExperimentScale(
+            name="memo-backend-tiny",
+            training_runs=1,
+            intervals_per_run=40,
+            validation_intervals=40,
+            pre_attack_intervals=10,
+            attack_intervals=10,
+            post_attack_intervals=10,
+            em_restarts=1,
+        )
+        default = get_reference_artifacts(tiny)
+        with kernels.use_backend("reference"):
+            reference = get_reference_artifacts(tiny)
+            assert get_reference_artifacts(tiny) is reference
+        assert reference is not default
+        default_arrays = default.detector.to_arrays()
+        reference_arrays = reference.detector.to_arrays()
+        assert any(
+            not np.array_equal(default_arrays[name], reference_arrays[name])
+            for name in default_arrays
+        )
 
 
 class TestOutcomes:

@@ -83,7 +83,7 @@ class TestBuildFleetSpecs:
             dict(devices=0, intervals=10),
             dict(devices=2, intervals=0),
             dict(devices=2, intervals=10, attacked_devices=3),
-            dict(devices=2, intervals=10, inject_fraction=1.5),
+            dict(devices=2, intervals=10, attacked_devices=-1),
             dict(devices=2, intervals=10, profiles=()),
             dict(devices=2, intervals=10, profiles=("bogus",)),
             dict(devices=2, intervals=10, attacked_devices=1,

@@ -13,9 +13,9 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.learn.ensemble import EnsembleConfig
+from repro.learn.ensemble import MODALITIES, EnsembleConfig
 from repro.serve import FleetService
-from repro.serve.worker import MODALITIES, ShardWorker
+from repro.serve.worker import ShardWorker
 
 pytestmark = [pytest.mark.contexts]
 
@@ -117,25 +117,7 @@ class TestEnsembleVerdicts:
 
 
 class TestEnsembleRules:
-    """The worker's non-default fusion rules, end to end."""
-
-    def test_even_weighted_vote_serves_like_or(
-        self, serial_ensemble_report, ensemble_config
-    ):
-        # 0.5 x m + 0.5 x c >= 0.5  <=>  m or c.
-        assert ensemble_config.ensemble.rule == "or"
-        weighted = FleetService(
-            dataclasses.replace(
-                ensemble_config,
-                ensemble=EnsembleConfig(
-                    rule="weighted", mhm_weight=0.5, vote_threshold=0.5
-                ),
-            )
-        ).run()
-        assert (
-            weighted.canonical_dict()
-            == serial_ensemble_report.canonical_dict()
-        )
+    """The worker's non-default fusion rule, end to end."""
 
     def test_and_rule_flags_no_more_than_or(
         self, serial_ensemble_report, ensemble_config

@@ -1,15 +1,29 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from repro.cli import EXIT_ALARM, EXIT_JOB_FAILURES, EXIT_OK, build_parser, main
+from repro.cli import (
+    EXIT_ALARM,
+    EXIT_JOB_FAILURES,
+    EXIT_OK,
+    ExitCode,
+    build_parser,
+    main,
+)
 from repro.learn.ensemble import EnsembleConfig
 from repro.obs.snapshots import latest_snapshots
 from repro.pipeline.experiments import run_scenario_experiment
 from repro.pipeline.stages import make_attack
+
+GOLDEN_DETECT = json.loads(
+    (
+        pathlib.Path(__file__).parent / "fixtures" / "golden_detect_quick.json"
+    ).read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -538,6 +552,22 @@ class TestDetectCommand:
             fused[outcome.ground_truth].mean()
         )
         assert code == (EXIT_ALARM if report["detected"] else EXIT_OK)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_DETECT["cases"]))
+    def test_output_matches_golden(self, quick_artifacts, capsys, case):
+        # Frozen stdout and exit code of every modality (and both
+        # ensemble rules) on the mimicry scenario at quick scale.
+        golden = GOLDEN_DETECT["cases"][case]
+        code = main([*GOLDEN_DETECT["command"], *golden["argv"]])
+        assert capsys.readouterr().out == golden["stdout"]
+        assert code == golden["exit_code"]
+
+    @pytest.mark.parametrize("command", ["detect", "serve"])
+    def test_removed_weighted_rule_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--ensemble-rule", "weighted"])
+        assert excinfo.value.code == ExitCode.USAGE
+        assert "weighted" in capsys.readouterr().err
 
 
 class TestServeCommand:
