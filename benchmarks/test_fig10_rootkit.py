@@ -84,4 +84,4 @@ def test_fig10_rootkit(benchmark, report, paper_artifacts, rootkit_outcome):
         assert top_phase_share >= 0.3
 
     heat_map = outcome.scenario.series[load + 7]
-    benchmark(lambda: detector.as_scorer(1.0)(heat_map))
+    benchmark(lambda: detector.is_anomalous(heat_map, 1.0))

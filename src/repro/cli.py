@@ -97,7 +97,11 @@ import numpy as np
 
 from . import obs
 from .conformance.matrix import SIZINGS as _SIZINGS
-from .conformance.matrix import build_matrix, interval_alert_floor
+from .conformance.matrix import (
+    build_matrix,
+    interval_alert_floor,
+    interval_detect,
+)
 from .faults import FaultPlan
 from .learn.detector import MhmDetector
 from .learn.ensemble import ENSEMBLE_RULES, MODALITIES, EnsembleConfig
@@ -1350,9 +1354,7 @@ def _cmd_serve(args) -> int:
             use_cache=not args.no_cache,
             modality=args.modality,
             ensemble=EnsembleConfig(
-                p_percent=args.quantile,
-                mhm_share=args.mhm_share,
-                rule=args.ensemble_rule,
+                mhm_share=args.mhm_share, rule=args.ensemble_rule
             ),
             cadences=cadences,
             recalibration=RecalibrationPolicy(
@@ -1436,10 +1438,11 @@ def _cmd_detect(args) -> int:
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     try:
         ensemble = EnsembleConfig(
-            p_percent=args.quantile,
-            mhm_share=args.mhm_share,
-            rule=args.ensemble_rule,
+            mhm_share=args.mhm_share, rule=args.ensemble_rule
         )
+        p = args.quantile
+        modality = args.modality
+        mhm_p, context_p = ensemble.budgets(modality, p)
         artifacts = get_reference_artifacts(
             scale, seed=args.seed, cache=cache
         )
@@ -1448,14 +1451,11 @@ def _cmd_detect(args) -> int:
             artifacts,
             scenario_seed=args.scenario_seed,
         )
-        p = args.quantile
-        modality = args.modality
-        p_mhm, p_context = ensemble.budgets(modality, p)
         # Only the channels the modality reads: the report's context
         # fields stay null under mhm.
-        mhm_flags = outcome.flags(p_mhm) if modality != "contexts" else None
+        mhm_flags = outcome.flags(mhm_p) if modality != "contexts" else None
         context_flags = (
-            outcome.context_flags(p_context) if modality != "mhm" else None
+            outcome.context_flags(context_p) if modality != "mhm" else None
         )
         fused = ensemble.verdict(modality, mhm_flags, context_flags)
     except (ValueError, KeyError, RuntimeError) as exc:
@@ -1468,7 +1468,7 @@ def _cmd_detect(args) -> int:
     drift_hit = (
         outcome.context_drift_exceeded if context_flags is not None else False
     )
-    detected = rate >= floor or drift_hit
+    detected = interval_detect(rate, p, drift_hit)
     report = {
         "scenario": args.scenario,
         "modality": modality,

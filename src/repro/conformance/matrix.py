@@ -76,6 +76,7 @@ __all__ = [
     "ConformanceMatrix",
     "validate_declarations",
     "interval_alert_floor",
+    "interval_detect",
     "build_matrix",
 ]
 
@@ -190,13 +191,22 @@ def interval_alert_floor(p_percent: float) -> float:
     return max(5.0 * p_percent / 100.0, 0.10)
 
 
+def interval_detect(
+    rate: float, p_percent: float, drift_exceeded: bool = False
+) -> bool:
+    """The per-interval detect rule of the matrix and ``repro detect``:
+    the post-injection flag ``rate`` clears :func:`interval_alert_floor`,
+    or the context drift channel exceeded its calibrated bound."""
+    return bool(rate >= interval_alert_floor(p_percent) or drift_exceeded)
+
+
 def _gmm_interval(
     outcome: ScenarioOutcome, sizing: MatrixSizing
 ) -> Tuple[str, Dict[str, float]]:
     rate = outcome.attack_detection_rate(sizing.p_percent)
     floor = interval_alert_floor(sizing.p_percent)
     return (
-        "detect" if rate >= floor else "miss",
+        "detect" if interval_detect(rate, sizing.p_percent) else "miss",
         {"detection_rate": _round(rate), "alert_floor": _round(floor)},
     )
 
@@ -262,8 +272,9 @@ def _context(
         )
     rate = outcome.context_detection_rate(sizing.p_percent)
     floor = interval_alert_floor(sizing.p_percent)
-    drifted = outcome.context_drift_exceeded
-    detected = rate >= floor or drifted
+    detected = interval_detect(
+        rate, sizing.p_percent, outcome.context_drift_exceeded
+    )
     return (
         "detect" if detected else "miss",
         {

@@ -10,7 +10,6 @@ from .detector import MhmDetector
 from .ensemble import (
     ENSEMBLE_RULES,
     EnsembleConfig,
-    EnsembleDetector,
     allowed_false_positive_rate,
 )
 from .evaluation import (
@@ -51,7 +50,6 @@ __all__ = [
     "cluster_contexts",
     "sort_rows",
     "EnsembleConfig",
-    "EnsembleDetector",
     "ENSEMBLE_RULES",
     "allowed_false_positive_rate",
     "LocalFeatureDetector",

@@ -192,17 +192,6 @@ class MhmDetector:
         """Boolean anomaly flags for every MHM of a series."""
         return self.thresholds.flag_series(self.score_series(series), p_percent)
 
-    def as_scorer(self, p_percent: float = 1.0):
-        """A secure-core hook: ``mhm -> (log_density, is_anomalous)``."""
-        self._require_fitted()
-        theta = self.threshold(p_percent)
-
-        def scorer(heat_map: MemoryHeatMap) -> tuple[float, bool]:
-            log_density = self.log_density(heat_map)
-            return log_density, log_density < theta
-
-        return scorer
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

@@ -15,9 +15,10 @@ The state machine, per device::
         └────── cooldown ◀─────rejected
 
 * **proposed** — every ``check_every`` scored records the controller
-  asks the (shared) DriftMonitor for a verdict; a drifted device with
-  a suggested threshold publishes ``recalibrate.proposed`` and enters
-  a trial.
+  asks the worker for the device's drift verdict
+  (:meth:`~repro.serve.worker.ShardWorker.drift_status`, the verdict
+  the device's report shows); a drifted device with a suggested
+  threshold publishes ``recalibrate.proposed`` and enters a trial.
 * **canary trial** — for the next ``canary_intervals`` records the
   candidate θ′ runs in *shadow*: the device keeps scoring under its
   deployed threshold while the controller counts how many intervals θ′
@@ -150,9 +151,9 @@ class RecalibrationController:
             return
         if lane.samples % self.policy.check_every:
             return
-        status = self.worker.drift.status(
-            scored.device_id, scored.theta, self.worker.p_percent
-        )
+        # Runs inline right after the record it judges, so the deployed
+        # θ drift_status reads is the record's own scored.theta.
+        status = self.worker.drift_status(scored.device_id)
         if status.drifted and status.suggested_threshold is not None:
             self._propose(scored, lane, status.suggested_threshold)
 

@@ -126,6 +126,8 @@ class ServeConfig:
     #: Scoring mode: "mhm" (default — reports and digests identical to
     #: earlier single-modality builds), "contexts", or "ensemble".
     modality: str = "mhm"
+    #: How ``p_percent`` splits between the two channels under
+    #: "ensemble", and how their verdicts fuse.
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     #: Compatibility field: the event bus ("async") is the only shard
     #: executor.  The value is recorded in the report, never digested.

@@ -20,6 +20,16 @@ serve determinism suite), so every record's score is a pure function
 of its own MHM vector — whatever batch, shard or interleaving it
 arrived through.
 
+**One budget.** The worker's ``p_percent`` is the fleet's single
+false-positive budget.  Each profile's θ sits at the MHM channel's
+share of it (all of it unless ``modality="ensemble"``, where
+:meth:`~repro.learn.ensemble.EnsembleConfig.budgets` splits it with
+the context channel).  A device is judged at its *deployed* θ
+(:meth:`ShardWorker.deployed_theta`: a committed recalibration
+override, else the profile θ), and its drift verdict comes from
+:meth:`ShardWorker.drift_status` alone, for reports and the
+recalibration controller alike.
+
 Per-record degradation mirrors the single-device
 :class:`~repro.pipeline.monitoring.OnlineMonitor`: an injected
 ``serve.score`` fault or a non-finite density degrades that record's
@@ -44,7 +54,7 @@ from ..learn.detector import MhmDetector
 from ..learn.ensemble import EnsembleConfig
 from ..obs.context import trace_args
 from ..sim.fleet import DeviceSpec, IntervalRecord
-from .drift import DriftMonitor
+from .drift import DriftMonitor, DriftStatus
 from .report import DeviceReport, device_digest
 
 __all__ = [
@@ -272,9 +282,7 @@ class ShardWorker:
             # takes effect on the device's very next record — even
             # mid-batch (`on_scored` runs inline below, and a commit
             # it triggers lands in _theta_overrides immediately).
-            effective = self._theta_overrides.get(
-                record.device_id, self.thetas[record.profile]
-            )
+            effective = self.deployed_theta(record.device_id, record.profile)
             self._record(
                 state,
                 record,
@@ -307,6 +315,19 @@ class ShardWorker:
         state = self.states[record.device_id]
         state.emitted += 1
         state.dropped += 1
+
+    def deployed_theta(self, device_id: str, profile: str) -> float:
+        """The θ a device is judged at: the committed recalibration
+        override if there is one, else its profile's θ."""
+        return self._theta_overrides.get(device_id, self.thetas[profile])
+
+    def drift_status(self, device_id: str) -> DriftStatus:
+        """The device's drift verdict against its deployed θ, at the
+        worker's false-positive budget."""
+        profile = self.states[device_id].spec.profile
+        return self.drift.status(
+            device_id, self.deployed_theta(device_id, profile), self.p_percent
+        )
 
     def apply_threshold(
         self,
@@ -492,13 +513,8 @@ class ShardWorker:
     ) -> DeviceReport:
         """Roll one device's state up into its report entry."""
         state = self.states[spec.device_id]
-        # The drift verdict is judged against the *deployed* threshold —
-        # the committed override when recalibration swapped one in.
-        theta = self._theta_overrides.get(
-            spec.device_id, self.thetas[spec.profile]
-        )
         recalibration = self._recalibrations.get(spec.device_id)
-        status = self.drift.status(spec.device_id, theta, self.p_percent)
+        status = self.drift_status(spec.device_id)
         scored = sum(1 for flag in state.flags if flag != SKIPPED)
         skipped = sum(1 for flag in state.flags if flag == SKIPPED)
         flagged = sum(1 for flag in state.flags if flag == ANOMALOUS)

@@ -2,8 +2,8 @@
 
 The repo's determinism claims are usually checked within one process;
 this test closes the remaining gap by running the full pipeline —
-training both modalities, fusing them, building the tiny conformance
-matrix — in **two separate interpreters with different
+training both modalities, fingerprinting both fitted models (the MHM
+one with its θ bank), building the tiny conformance matrix — in **two separate interpreters with different
 ``PYTHONHASHSEED``** values and asserting the fingerprints and the
 canonical matrix digest are byte-identical.  Anything that leaked set-
 or dict-iteration order, ``id()``-keyed state or hash-dependent tie
@@ -25,18 +25,28 @@ pytestmark = [pytest.mark.conformance, pytest.mark.contexts, pytest.mark.slow]
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SNIPPET = """
+import hashlib
 import json
 
+import numpy as np
+
 from repro.conformance.matrix import build_matrix
-from repro.learn.ensemble import EnsembleDetector
 from repro.pipeline.experiments import QUICK_SCALE, get_reference_artifacts
 
 artifacts = get_reference_artifacts(QUICK_SCALE)
-ensemble = EnsembleDetector(artifacts.detector, artifacts.context_detector)
+detector = artifacts.detector
+mhm = hashlib.sha256()
+arrays = detector.to_arrays()
+for name in sorted(arrays):
+    array = np.ascontiguousarray(arrays[name])
+    mhm.update(f"{name}:{array.dtype}:{array.shape}".encode())
+    mhm.update(array.tobytes())
+for q in detector.thresholds.quantiles:
+    mhm.update(f"theta_{q!r}={detector.threshold(q).hex()}".encode())
 matrix = build_matrix()  # tiny sizing
 print(json.dumps({
     "context_fingerprint": artifacts.context_detector.fingerprint(),
-    "ensemble_fingerprint": ensemble.fingerprint(),
+    "mhm_fingerprint": mhm.hexdigest(),
     "matrix_digest": matrix.digest(),
     "matrix_conformant": matrix.conformant,
 }))

@@ -28,11 +28,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.learn.contexts import ContextDetector, cluster_contexts
-from repro.learn.ensemble import (
-    EnsembleConfig,
-    EnsembleDetector,
-    allowed_false_positive_rate,
-)
+from repro.learn.ensemble import EnsembleConfig, allowed_false_positive_rate
 
 pytestmark = [pytest.mark.contexts]
 
@@ -215,11 +211,13 @@ class TestEnsembleBudget:
         rng = np.random.default_rng(seed)
         densities = rng.normal(size=samples)
         scores = np.abs(rng.normal(size=samples))
-        config = EnsembleConfig(p_percent=p_percent, mhm_share=share)
-        ensemble = EnsembleDetector.calibrate(
-            None, None, densities, scores, config
+        config = EnsembleConfig(mhm_share=share)
+        mhm_p, context_p = config.budgets("ensemble", p_percent)
+        fused = config.verdict(
+            "ensemble",
+            densities < np.quantile(densities, mhm_p / 100.0),
+            scores > np.quantile(scores, 1.0 - context_p / 100.0),
         )
-        fused = ensemble.classify(densities, scores)
         assert float(fused.mean()) <= allowed_false_positive_rate(
             p_percent, samples
         )
@@ -230,12 +228,14 @@ class TestEnsembleBudget:
     )
     @settings(max_examples=50, deadline=None)
     def test_budget_split_is_complementary_to_the_ulp(self, p_percent, share):
-        # p_context is computed as the subtraction p - p_mhm (not an
+        # The context budget is the subtraction p - p x share (not an
         # independently rounded p x (1 - share)), so the recombined sum
         # sits within one ulp of the declared total — never a rounding
         # hair *above* the union bound's budget beyond that.
         import math
 
-        config = EnsembleConfig(p_percent=p_percent, mhm_share=share)
-        total = config.p_mhm + config.p_context
+        mhm_p, context_p = EnsembleConfig(mhm_share=share).budgets(
+            "ensemble", p_percent
+        )
+        total = mhm_p + context_p
         assert abs(total - p_percent) <= math.ulp(p_percent)

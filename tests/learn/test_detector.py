@@ -50,13 +50,6 @@ class TestFittedDetector:
         singles = [quick_detector.log_density(m) for m in series]
         np.testing.assert_allclose(batch, singles, rtol=1e-10)
 
-    def test_as_scorer_hook(self, quick_detector, quick_artifacts):
-        scorer = quick_detector.as_scorer(p_percent=1.0)
-        heat_map = quick_artifacts.data.validation[0]
-        log_density, anomalous = scorer(heat_map)
-        assert log_density == pytest.approx(quick_detector.log_density(heat_map))
-        assert anomalous == quick_detector.is_anomalous(heat_map, 1.0)
-
 
 class TestPersistence:
     def test_save_load_roundtrip(self, quick_detector, quick_artifacts, tmp_path):

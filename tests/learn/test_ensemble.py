@@ -1,9 +1,10 @@
-"""EnsembleDetector unit tests: budget split, fusion rules, identity.
+"""Ensemble unit tests: one budget's split, the fusion rules, and the
+thresholds a serving worker takes from the detectors' banks.
 
 The combiner's contract is arithmetic, so most of these run on
 hand-picked density/score arrays with explicit thresholds; the tests
 that need real fitted models reuse the session-scoped quick-scale
-reference artifacts (which now carry both modalities).
+reference artifacts (which carry both modalities).
 """
 
 from __future__ import annotations
@@ -15,27 +16,31 @@ from repro.learn.ensemble import (
     ENSEMBLE_RULES,
     MODALITIES,
     EnsembleConfig,
-    EnsembleDetector,
     allowed_false_positive_rate,
 )
+from repro.serve.worker import ShardWorker
 
 pytestmark = [pytest.mark.contexts]
 
 
-def hand_ensemble(rule: str = "or", **kwargs) -> EnsembleDetector:
-    """An ensemble over explicit thresholds; no fitted models needed."""
-    config = EnsembleConfig(rule=rule, **kwargs)
-    return EnsembleDetector(
-        None, None, config, theta_mhm=0.0, theta_context=1.0
-    )
+def calibrated_flags(config, densities, scores, p_percent):
+    """Each channel's flags at its ``budgets`` share of ``p_percent``:
+    densities flag below the MHM share's quantile, scores above the
+    (100 - context share)-quantile."""
+    mhm_p, context_p = config.budgets("ensemble", p_percent)
+    theta_mhm = np.quantile(densities, mhm_p / 100.0)
+    theta_context = np.quantile(scores, 1.0 - context_p / 100.0)
+    return densities < theta_mhm, scores > theta_context
 
 
 class TestBudgetMath:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("share", [0.1, 1.0 / 3.0, 0.5, 0.9])
     def test_split_sums_exactly_to_total(self, p, share):
-        config = EnsembleConfig(p_percent=p, mhm_share=share)
-        assert config.p_mhm + config.p_context == p
+        mhm_p, context_p = EnsembleConfig(mhm_share=share).budgets(
+            "ensemble", p
+        )
+        assert mhm_p + context_p == p
 
     def test_allowed_rate_formula(self):
         allowed = allowed_false_positive_rate(1.0, 400)
@@ -49,18 +54,29 @@ class TestBudgetMath:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"p_percent": 0.0},
-            {"p_percent": 100.0},
+            {"mhm_share": -0.5},
+            {"mhm_share": 1.5},
             {"mhm_share": 0.0},
             {"mhm_share": 1.0},
             {"rule": "xor"},
-            {"p_percent": float("nan")},
+            {"rule": "OR"},
             {"mhm_share": float("nan")},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EnsembleConfig(**kwargs)
+
+    def test_config_carries_no_budget(self):
+        # The budget is the caller's p; the config only splits it.
+        with pytest.raises(TypeError):
+            EnsembleConfig(p_percent=1.0)
+
+    @pytest.mark.parametrize("p", [0.0, 100.0, float("nan")])
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_bad_budget_rejected(self, modality, p):
+        with pytest.raises(ValueError, match="p_percent"):
+            EnsembleConfig().budgets(modality, p)
 
     def test_removed_weighted_rule_points_at_or(self):
         with pytest.raises(ValueError, match="removed") as excinfo:
@@ -69,13 +85,16 @@ class TestBudgetMath:
 
     @pytest.mark.parametrize("share", [0.1, 1.0 / 3.0, 0.5, 0.9])
     def test_ensemble_budgets_are_the_exact_split(self, share):
-        config = EnsembleConfig(p_percent=1.0, mhm_share=share)
-        # The ensemble spends the config's own budget, whatever p the
-        # caller passes for single-modality scoring.
-        assert config.budgets("ensemble", 2.0) == (
-            config.p_mhm,
-            config.p_context,
+        # The ensemble splits the p it is given: p x share, and the
+        # subtraction complement for the context channel.
+        assert EnsembleConfig(mhm_share=share).budgets("ensemble", 2.0) == (
+            2.0 * share,
+            2.0 - 2.0 * share,
         )
+
+    def test_ensemble_splits_the_callers_p(self):
+        assert EnsembleConfig().budgets("ensemble", 2.0) == (1.0, 1.0)
+        assert EnsembleConfig().budgets("ensemble", 1.0) == (0.5, 0.5)
 
     @pytest.mark.parametrize("modality", ["mhm", "contexts"])
     def test_single_modality_budgets_spend_the_whole_p(self, modality):
@@ -99,24 +118,26 @@ class TestFusionRules:
     DENSITIES = np.array([-1.0, 1.0, -1.0, 1.0])
     SCORES = np.array([0.1, 5.0, 5.0, 0.1])
 
-    def test_modality_flags(self):
-        mhm, context = hand_ensemble().modality_flags(
-            self.DENSITIES, self.SCORES
-        )
-        np.testing.assert_array_equal(mhm, [True, False, True, False])
-        np.testing.assert_array_equal(context, [False, True, True, False])
+    MHM_FLAGS = DENSITIES < 0.0
+    CONTEXT_FLAGS = SCORES > 1.0
 
     def test_or_rule(self):
-        fused = hand_ensemble("or").classify(self.DENSITIES, self.SCORES)
+        fused = EnsembleConfig(rule="or").verdict(
+            "ensemble", self.MHM_FLAGS, self.CONTEXT_FLAGS
+        )
         np.testing.assert_array_equal(fused, [True, True, True, False])
 
     def test_and_rule(self):
-        fused = hand_ensemble("and").classify(self.DENSITIES, self.SCORES)
+        fused = EnsembleConfig(rule="and").verdict(
+            "ensemble", self.MHM_FLAGS, self.CONTEXT_FLAGS
+        )
         np.testing.assert_array_equal(fused, [False, False, True, False])
 
     def test_misaligned_series_rejected(self):
-        with pytest.raises(ValueError, match="align"):
-            hand_ensemble().modality_flags(self.DENSITIES, self.SCORES[:2])
+        with pytest.raises(ValueError):
+            EnsembleConfig().verdict(
+                "ensemble", self.MHM_FLAGS, self.CONTEXT_FLAGS[:2]
+            )
 
     def test_rule_registry_is_exhaustive(self):
         assert ENSEMBLE_RULES == ("or", "and")
@@ -177,65 +198,67 @@ class TestFusionRules:
         assert config.verdict("mhm", True, None) is True
         assert config.verdict("contexts", None, False) is False
 
+
 class TestCalibrate:
     def test_calibrated_or_rate_stays_within_budget(self):
         rng = np.random.default_rng(0)
         densities = rng.normal(size=2000)
         scores = np.abs(rng.normal(size=2000))
-        config = EnsembleConfig(p_percent=1.0, mhm_share=0.5)
-        ensemble = EnsembleDetector.calibrate(
-            None, None, densities, scores, config
+        config = EnsembleConfig(mhm_share=0.5)
+        fused = config.verdict(
+            "ensemble", *calibrated_flags(config, densities, scores, 1.0)
         )
-        fused = ensemble.classify(densities, scores)
         assert float(fused.mean()) <= allowed_false_positive_rate(
-            config.p_percent, densities.size
+            1.0, densities.size
         )
 
     def test_each_modality_respects_its_share(self):
         rng = np.random.default_rng(1)
         densities = rng.normal(size=1000)
         scores = np.abs(rng.normal(size=1000))
-        config = EnsembleConfig(p_percent=2.0, mhm_share=0.25)
-        ensemble = EnsembleDetector.calibrate(
-            None, None, densities, scores, config
-        )
-        mhm, context = ensemble.modality_flags(densities, scores)
+        config = EnsembleConfig(mhm_share=0.25)
+        mhm, context = calibrated_flags(config, densities, scores, 2.0)
+        mhm_p, context_p = config.budgets("ensemble", 2.0)
         slack = 1.0 / densities.size
-        assert float(mhm.mean()) <= config.p_mhm / 100.0 + slack
-        assert float(context.mean()) <= config.p_context / 100.0 + slack
+        assert float(mhm.mean()) <= mhm_p / 100.0 + slack
+        assert float(context.mean()) <= context_p / 100.0 + slack
 
-    def test_empty_validation_rejected(self):
-        with pytest.raises(ValueError, match="empty validation"):
-            EnsembleDetector.calibrate(
-                None, None, np.zeros(0), np.zeros(0)
-            )
+
+def ensemble_worker(artifacts, p_percent=1.0, **config):
+    """A worker judging one profile under the ensemble modality."""
+    return ShardWorker(
+        {"baseline": artifacts.detector},
+        specs=[],
+        p_percent=p_percent,
+        modality="ensemble",
+        context_detectors={"baseline": artifacts.context_detector},
+        ensemble=EnsembleConfig(**config),
+    )
 
 
 class TestWithFittedModels:
     def test_default_thresholds_come_from_the_banks(self, quick_artifacts):
-        ensemble = EnsembleDetector(
-            quick_artifacts.detector, quick_artifacts.context_detector
+        worker = ensemble_worker(quick_artifacts)
+        # The default split of p = 1 lands both budgets on the
+        # calibrated 0.5 quantile of each bank.
+        assert worker.thetas["baseline"] == (
+            quick_artifacts.detector.threshold(0.5)
         )
-        # Default split 1.0 x 0.5 lands both budgets on the calibrated
-        # 0.5 quantile of each bank.
-        assert ensemble.theta_mhm == quick_artifacts.detector.threshold(0.5)
-        assert ensemble.theta_context == (
+        assert worker.context_thetas["baseline"] == (
             quick_artifacts.context_detector.threshold(0.5)
         )
 
-    def test_uncalibrated_split_raises_keyerror(self, quick_artifacts):
-        with pytest.raises(KeyError):
-            EnsembleDetector(
-                quick_artifacts.detector,
-                quick_artifacts.context_detector,
-                EnsembleConfig(p_percent=1.0, mhm_share=0.3),
-            )
-
-    def test_fingerprint_stable_and_rule_sensitive(self, quick_artifacts):
-        build = lambda rule: EnsembleDetector(
-            quick_artifacts.detector,
-            quick_artifacts.context_detector,
-            EnsembleConfig(rule=rule),
+    def test_worker_splits_its_own_budget(self, quick_artifacts):
+        # p = 2 at share 0.5: both channels judge at the 1.0 banks.
+        worker = ensemble_worker(quick_artifacts, p_percent=2.0)
+        assert worker.thetas["baseline"] == (
+            quick_artifacts.detector.threshold(1.0)
         )
-        assert build("or").fingerprint() == build("or").fingerprint()
-        assert build("or").fingerprint() != build("and").fingerprint()
+        assert worker.context_thetas["baseline"] == (
+            quick_artifacts.context_detector.threshold(1.0)
+        )
+
+    def test_uncalibrated_split_raises_keyerror(self, quick_artifacts):
+        # 0.3 % is on neither bank; the CLI maps this KeyError to exit 2.
+        with pytest.raises(KeyError):
+            ensemble_worker(quick_artifacts, p_percent=1.0, mhm_share=0.3)

@@ -29,6 +29,8 @@ from repro.serve import (
     ScoredInterval,
 )
 from repro.serve.bus import EventBus
+from repro.serve.drift import DriftMonitor
+from repro.serve.worker import ShardWorker
 
 pytestmark = pytest.mark.bus
 
@@ -72,6 +74,9 @@ class StubWorker:
 
     def apply_threshold(self, device_id, theta, interval_index=None):
         self.applied.append((device_id, theta, interval_index))
+
+    def drift_status(self, device_id):
+        return self.drift.status(device_id, None, self.p_percent)
 
 
 def scored(device_id, interval, density, theta=-100.0):
@@ -341,3 +346,68 @@ class TestAppliedRecalibration:
         assert row["recalibrated_at_interval"] == (
             entry.recalibrated_at_interval
         )
+
+
+class TestOneDriftVerdict:
+    def test_report_and_controller_read_drift_status(
+        self, drift_config, monkeypatch
+    ):
+        """Every drift verdict of a serving run is
+        ``ShardWorker.drift_status``: on a device with a committed
+        override, the controller and ``device_report`` read the same
+        status, judged at the override."""
+        reads = []  # (worker, device_id, deployed θ, status)
+        judged = []  # DriftMonitor.status arguments
+        drift_status = ShardWorker.drift_status
+        monitor_status = DriftMonitor.status
+
+        def spy_drift_status(worker, device_id):
+            status = drift_status(worker, device_id)
+            profile = worker.states[device_id].spec.profile
+            reads.append(
+                (worker, device_id, worker.deployed_theta(device_id, profile),
+                 status)
+            )
+            return status
+
+        def spy_monitor_status(monitor, device_id, theta, p_percent):
+            judged.append((device_id, theta, p_percent))
+            return monitor_status(monitor, device_id, theta, p_percent)
+
+        monkeypatch.setattr(ShardWorker, "drift_status", spy_drift_status)
+        monkeypatch.setattr(DriftMonitor, "status", spy_monitor_status)
+        report = FleetService(
+            dataclasses.replace(drift_config, recalibration=RECAL)
+        ).run()
+        # The monitor judged nothing that did not come through
+        # drift_status, and always at the fleet's one budget.
+        assert judged == [
+            (device_id, theta, drift_config.p_percent)
+            for _, device_id, theta, _ in reads
+        ]
+        committed = [d for d in report.device_reports if d.recalibrated]
+        assert committed
+        for device in committed:
+            worker, _, theta, status = [
+                read for read in reads if read[1] == device.device_id
+            ][-1]
+            # The report's read comes last, at the committed override.
+            assert theta == device.recalibrated_threshold
+            assert (
+                status.drifted, status.observed_rate, status.expected_rate,
+                status.suggested_threshold,
+            ) == (
+                device.drifted, device.drift_observed_rate,
+                device.drift_expected_rate, device.suggested_threshold,
+            )
+            # A controller check on the same device now reads the very
+            # status the report shows.
+            controller = RecalibrationController(
+                dataclasses.replace(RECAL, check_every=1), worker
+            )
+            before = len(reads)
+            controller.on_scored(
+                scored(device.device_id, drift_config.intervals, 0.0,
+                       theta=theta)
+            )
+            assert [read[2:] for read in reads[before:]] == [(theta, status)]

@@ -539,13 +539,13 @@ class TestDetectCommand:
             ]
         )
         report = json.loads(capsys.readouterr().out)
-        config = EnsembleConfig(rule=rule)
+        mhm_p, context_p = EnsembleConfig(rule=rule).budgets("ensemble", 1.0)
         outcome = run_scenario_experiment(
             make_attack("mimicry"), quick_artifacts, scenario_seed=999
         )
         fused = fuse(
-            outcome.flags(config.p_mhm),
-            outcome.context_flags(config.p_context),
+            outcome.flags(mhm_p),
+            outcome.context_flags(context_p),
         )
         assert report["modality"] == "ensemble"
         assert report["detection_rate"] == float(
