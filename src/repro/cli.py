@@ -103,7 +103,7 @@ from .conformance.matrix import (
     interval_detect,
 )
 from .faults import FaultPlan
-from .learn.detector import MhmDetector
+from .learn.detector import LN10, MhmDetector
 from .learn.ensemble import ENSEMBLE_RULES, MODALITIES, EnsembleConfig
 from .pipeline.cache import ArtifactCache
 from .pipeline.experiments import (
@@ -116,7 +116,6 @@ from .pipeline.monitoring import OnlineMonitor
 from .pipeline.runner import ExperimentRunner, JobFailedError, build_grid_jobs
 from .pipeline.scenario import ScenarioRunner
 from .pipeline.stages import SCENARIOS as _SCENARIOS
-from .pipeline.stages import make_attack
 from .pipeline.training import collect_training_data, train_detector
 from .serve import (
     SERVE_TRACE_CATEGORIES,
@@ -185,8 +184,6 @@ EXIT_JOB_FAILURES = ExitCode.JOB_FAILURES
 EXIT_BENCH_REGRESSION = ExitCode.BENCH_REGRESSION
 EXIT_SERVE_DEGRADED = ExitCode.SERVE_DEGRADED
 EXIT_MATRIX_DIVERGENCE = ExitCode.MATRIX_DIVERGENCE
-
-LN10 = float(np.log(10.0))
 
 _SCALES = {"quick": QUICK_SCALE, "paper": PAPER_SCALE}
 
@@ -1447,9 +1444,10 @@ def _cmd_detect(args) -> int:
             scale, seed=args.seed, cache=cache
         )
         outcome = run_scenario_experiment(
-            make_attack(args.scenario),
+            args.scenario,
             artifacts,
             scenario_seed=args.scenario_seed,
+            cache=cache,
         )
         # Only the channels the modality reads: the report's context
         # fields stay null under mhm.

@@ -61,7 +61,7 @@ from ..pipeline.experiments import (
     get_reference_artifacts,
     run_scenario_experiment,
 )
-from ..pipeline.stages import SCENARIOS, make_attack
+from ..pipeline.stages import SCENARIOS
 from ..serve.drift import DriftPolicy, evaluate_drift
 
 __all__ = [
@@ -225,10 +225,9 @@ def _drift(
     outcome: ScenarioOutcome, sizing: MatrixSizing
 ) -> Tuple[str, Dict[str, float]]:
     start = outcome.scenario.attack_interval
-    theta = outcome.log10_thresholds[sizing.p_percent]
     status = evaluate_drift(
-        outcome.log10_densities[start:],
-        theta,
+        outcome.log_densities[start:],
+        outcome.thresholds[sizing.p_percent],
         sizing.p_percent,
         policy=MATRIX_DRIFT_POLICY,
     )
@@ -440,8 +439,9 @@ def build_matrix(
 
     ``scenarios`` defaults to the full registry (sorted).  ``cache``
     optionally names an on-disk
-    :class:`~repro.pipeline.cache.ArtifactCache` for the training
-    stage; ``use_memo`` controls the in-process artifact memo.
+    :class:`~repro.pipeline.cache.ArtifactCache` for the training,
+    fit and scenario stages; ``use_memo`` controls the in-process
+    artifact memo.
     """
     names = sorted(scenarios if scenarios is not None else SCENARIOS)
     for name in names:
@@ -462,12 +462,13 @@ def build_matrix(
     cells: List[MatrixCell] = []
     for name in names:
         outcome = run_scenario_experiment(
-            make_attack(name),
+            name,
             artifacts,
             pre_intervals=sizing.pre_intervals,
             attack_intervals=sizing.attack_intervals,
             post_intervals=0,
             scenario_seed=sizing.scenario_seed,
+            cache=cache,
         )
         declared = SCENARIOS[name].expected_outcomes
         notes = SCENARIOS[name].expected_notes

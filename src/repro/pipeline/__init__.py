@@ -14,6 +14,7 @@ from .experiments import (
     run_rootkit_experiment,
     run_scenario_experiment,
     run_shellcode_experiment,
+    score_scenario,
 )
 from .monitoring import Alarm, MonitoringReport, OnlineMonitor
 from .runner import (
@@ -56,6 +57,7 @@ __all__ = [
     "QUICK_SCALE",
     "ReferenceArtifacts",
     "ScenarioOutcome",
+    "score_scenario",
     "get_reference_artifacts",
     "clear_artifact_cache",
     "run_scenario_experiment",

@@ -16,23 +16,22 @@ Training is expensive, so reference artifacts are memoised per
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .. import kernels
-from ..attacks.base import Attack
-from ..core.series import HeatMapSeries
 from ..learn.contexts import ContextDetector
-from ..learn.detector import MhmDetector
-from ..learn.metrics import detection_latency
-from ..sim.platform import Platform, PlatformConfig
-from .scenario import ScenarioResult, ScenarioRunner
+from ..learn.detector import LN10, MhmDetector
+from ..learn.metrics import detection_latency, roc_auc_from_scores
+from ..sim.platform import PlatformConfig
+from .scenario import ScenarioResult
 from .stages import (
     CONTEXT_STAGE,
     DETECTOR_STAGE,
     collect_training_data_cached,
     fit_cached,
+    run_scenario_cached,
     training_material,
 )
 from .training import TrainingData
@@ -45,14 +44,12 @@ __all__ = [
     "get_reference_artifacts",
     "clear_artifact_cache",
     "ScenarioOutcome",
+    "score_scenario",
     "run_scenario_experiment",
     "run_app_launch_experiment",
     "run_shellcode_experiment",
     "run_rootkit_experiment",
 ]
-
-LN10 = float(np.log(10.0))
-
 
 @dataclass(frozen=True)
 class ExperimentScale:
@@ -181,17 +178,20 @@ def clear_artifact_cache() -> None:
 class ScenarioOutcome:
     """A scored scenario run: everything a figure needs.
 
-    When the scoring path carries the second modality, ``context_scores``
-    holds per-interval context anomaly scores (flag *above* threshold,
-    unlike the MHM densities which flag below), ``context_thresholds``
-    the calibrated θ bank, and ``context_drift_max`` /
-    ``context_drift_bound`` the phase-drift channel's statistic and its
-    clean-stream bound.
+    ``log_densities`` and the θ bank ``thresholds`` are natural-log,
+    the units every verdict is taken in; ``log10_densities`` and
+    ``log10_thresholds`` are derived views for figures and JSON.
+    When the scoring path carries the second modality,
+    ``context_scores`` holds per-interval context anomaly scores (flag
+    *above* threshold, unlike the MHM densities which flag below),
+    ``context_thresholds`` the calibrated θ bank, and
+    ``context_drift_max`` / ``context_drift_bound`` the phase-drift
+    channel's statistic and its clean-stream bound.
     """
 
     scenario: ScenarioResult
-    log10_densities: np.ndarray
-    log10_thresholds: dict[float, float]
+    log_densities: np.ndarray
+    thresholds: dict[float, float]
     ground_truth: np.ndarray = field(default=None)  # type: ignore[assignment]
     context_scores: Optional[np.ndarray] = None
     context_thresholds: dict[float, float] = field(default_factory=dict)
@@ -202,12 +202,21 @@ class ScenarioOutcome:
         if self.ground_truth is None:
             self.ground_truth = self.scenario.ground_truth()
 
+    @property
+    def log10_densities(self) -> np.ndarray:
+        """``log10 Pr(M)`` — the y-axis of Figures 7, 8 and 10."""
+        return self.log_densities / LN10
+
+    @property
+    def log10_thresholds(self) -> dict[float, float]:
+        return {q: theta / LN10 for q, theta in self.thresholds.items()}
+
     # ------------------------------------------------------------------
     # Derived quantities used by the figures' captions
     # ------------------------------------------------------------------
     def flags(self, p_percent: float) -> np.ndarray:
-        theta = self.log10_thresholds[p_percent]
-        return self.log10_densities < theta
+        """The legitimacy test: ln density below θ_p ⇒ anomalous."""
+        return self.log_densities < self.thresholds[p_percent]
 
     def pre_attack_false_positives(self, p_percent: float) -> int:
         """Abnormal verdicts before injection (paper: 0 at θ_0.5, 2 at θ_1)."""
@@ -270,100 +279,100 @@ class ScenarioOutcome:
         return self.context_drift_max > self.context_drift_bound
 
     def summary(self) -> dict:
-        return {
+        """AUC plus pre-injection FPR, detection rate and latency at
+        every calibrated θ (``*_theta_0.5``, ``*_theta_1``)."""
+        summary: dict = {
             "scenario": self.scenario.name,
             "intervals": len(self.scenario.series),
             "attack_interval": self.scenario.attack_interval,
             "revert_interval": self.scenario.revert_interval,
-            "pre_fp_theta_0.5": self.pre_attack_false_positives(0.5),
-            "pre_fp_theta_1": self.pre_attack_false_positives(1.0),
-            "detection_rate_theta_0.5": self.attack_detection_rate(0.5),
-            "detection_rate_theta_1": self.attack_detection_rate(1.0),
-            "latency_theta_1": self.detection_latency_intervals(1.0),
+            "auc": roc_auc_from_scores(-self.log_densities, self.ground_truth),
         }
+        for q in self.thresholds:
+            tag = f"theta_{q:g}"
+            summary[f"pre_fpr_{tag}"] = self.pre_attack_fpr(q)
+            summary[f"detection_rate_{tag}"] = self.attack_detection_rate(q)
+            summary[f"latency_{tag}"] = self.detection_latency_intervals(q)
+        return summary
+
+
+def score_scenario(
+    result: ScenarioResult,
+    detector: MhmDetector,
+    context: Optional[ContextDetector] = None,
+) -> ScenarioOutcome:
+    """Score a replayed scenario with one fused kernel call.
+
+    Both modalities score together when ``context`` is given.  At
+    ``pad_to=None`` the float64 path is bit-identical to
+    ``detector.score_series`` and to the ``context.score_series`` /
+    ``drift_series`` chain, which is what keeps the goldens fixed.
+    """
+    scorer = kernels.FleetScorer.from_detectors(detector, context)
+    thresholds = {q: detector.threshold(q) for q in detector.thresholds.quantiles}
+    if context is None:
+        scores = scorer.score(result.series.matrix())
+        return ScenarioOutcome(result, scores.log_densities, thresholds)
+    interval_indices = np.arange(len(result.syscalls)) + result.start_interval_index
+    scores = scorer.score(
+        result.series.matrix(),
+        syscalls=result.syscalls,
+        interval_indices=interval_indices,
+    )
+    drift = np.abs(np.cumsum(scores.context_residuals, axis=0))
+    return ScenarioOutcome(
+        result,
+        scores.log_densities,
+        thresholds,
+        context_scores=scores.context_scores,
+        context_thresholds={q: context.threshold(q) for q in context.thresholds_},
+        context_drift_max=float(drift.max()) if drift.size else 0.0,
+        context_drift_bound=context.drift_bound_,
+    )
 
 
 def run_scenario_experiment(
-    attack: Attack,
+    scenario: str,
     artifacts: ReferenceArtifacts,
     pre_intervals: Optional[int] = None,
     attack_intervals: Optional[int] = None,
     post_intervals: int = 0,
     scenario_seed: int = 999,
+    attack_params: Optional[Mapping] = None,
+    cache=None,
 ) -> ScenarioOutcome:
-    """Run an attack on a *fresh* platform and score it with the
-    reference detector (the platform seed differs from every training
-    seed — the detector has never seen this boot)."""
+    """Replay a registered scenario on a *fresh* platform and score it
+    with both reference detectors (the platform seed differs from every
+    training seed — the detector has never seen this boot).
+
+    ``cache`` optionally names an
+    :class:`~repro.pipeline.cache.ArtifactCache` for the ``scenario``
+    stage, as :func:`get_reference_artifacts` takes one for training.
+    """
     scale = artifacts.scale
     pre = scale.pre_attack_intervals if pre_intervals is None else pre_intervals
     during = scale.attack_intervals if attack_intervals is None else attack_intervals
-
-    platform = Platform(artifacts.config.with_seed(scenario_seed))
-    runner = ScenarioRunner(platform)
-    result = runner.run(
-        attack,
+    result, _ = run_scenario_cached(
+        artifacts.config,
+        scenario,
+        attack_params,
         pre_intervals=pre,
         attack_intervals=during,
         post_intervals=post_intervals,
+        scenario_seed=scenario_seed,
+        cache=cache,
     )
-    detector = artifacts.detector
-    context = artifacts.context_detector
-    has_context = context is not None and result.syscalls is not None
-    # Both modalities score through one fused kernel call.  At
-    # pad_to=None the float64 path is bit-identical to the historical
-    # detector.log10_series / context.score_series / drift_series
-    # chain, so the conformance-matrix goldens are untouched.
-    scorer = kernels.FleetScorer.from_detectors(
-        detector, context if has_context else None
-    )
-    context_scores = None
-    context_thresholds: dict[float, float] = {}
-    context_drift_max = 0.0
-    context_drift_bound = float("inf")
-    if has_context:
-        interval_indices = (
-            np.arange(len(result.syscalls)) + result.start_interval_index
-        )
-        scores = scorer.score(
-            result.series.matrix(),
-            syscalls=result.syscalls,
-            interval_indices=interval_indices,
-        )
-        context_scores = scores.context_scores
-        context_thresholds = {
-            q: context.threshold(q) for q in context.thresholds_
-        }
-        cumulative = np.cumsum(scores.context_residuals, axis=0)
-        context_drift_max = (
-            float(np.abs(cumulative).max()) if cumulative.size else 0.0
-        )
-        context_drift_bound = context.drift_bound_
-    else:
-        scores = scorer.score(result.series.matrix())
-    return ScenarioOutcome(
-        scenario=result,
-        log10_densities=scores.log_densities / LN10,
-        log10_thresholds={
-            q: detector.log10_threshold(q) for q in detector.thresholds.quantiles
-        },
-        context_scores=context_scores,
-        context_thresholds=context_thresholds,
-        context_drift_max=context_drift_max,
-        context_drift_bound=context_drift_bound,
-    )
+    return score_scenario(result, artifacts.detector, artifacts.context_detector)
 
 
 def run_app_launch_experiment(
     artifacts: ReferenceArtifacts, scenario_seed: int = 999
 ) -> ScenarioOutcome:
     """Figure 7: qsort launched, later exited (500-interval trace)."""
-    from ..attacks.app_launch import AppLaunchAttack
-
-    scale = artifacts.scale
     return run_scenario_experiment(
-        AppLaunchAttack(),
+        "app-launch",
         artifacts,
-        post_intervals=scale.post_attack_intervals,
+        post_intervals=artifacts.scale.post_attack_intervals,
         scenario_seed=scenario_seed,
     )
 
@@ -372,10 +381,8 @@ def run_shellcode_experiment(
     artifacts: ReferenceArtifacts, scenario_seed: int = 999
 ) -> ScenarioOutcome:
     """Figure 8: ASLR-disabling shellcode kills bitcount (no recovery)."""
-    from ..attacks.shellcode import ShellcodeAttack
-
     return run_scenario_experiment(
-        ShellcodeAttack(), artifacts, scenario_seed=scenario_seed
+        "shellcode", artifacts, scenario_seed=scenario_seed
     )
 
 
@@ -386,10 +393,9 @@ def run_rootkit_experiment(
 ) -> ScenarioOutcome:
     """Figures 9 + 10: LKM hijacks ``read``; volume stays normal, MHM
     densities show the load spike and intermittent post-hijack drift."""
-    from ..attacks.rootkit import SyscallHijackRootkit
-
     return run_scenario_experiment(
-        SyscallHijackRootkit(extra_latency_ns=extra_latency_ns),
+        "rootkit",
         artifacts,
         scenario_seed=scenario_seed,
+        attack_params={"extra_latency_ns": extra_latency_ns},
     )

@@ -73,10 +73,9 @@ from .. import faults, obs
 from ..faults import FaultPlan, uniform_hash
 from ..kernels.blas_threads import capped_process_pool
 from ..learn.detector import MhmDetector
-from ..learn.metrics import detection_latency, roc_auc_from_scores
-from ..sim.platform import Platform, PlatformConfig
+from ..sim.platform import PlatformConfig
 from .cache import ArtifactCache
-from .experiments import ExperimentScale
+from .experiments import ExperimentScale, score_scenario
 from .stages import (
     DETECTOR_STAGE,
     SCENARIO_STAGE,
@@ -99,8 +98,6 @@ __all__ = [
     "build_grid_jobs",
     "run_job",
 ]
-
-LN10 = float(np.log(10.0))
 
 
 # ----------------------------------------------------------------------
@@ -425,33 +422,15 @@ def run_job(
 
     started = time.perf_counter()
     with obs.span("runner.stage.score"):
-        densities = detector.score_series(result.series)
-        truth = result.ground_truth()
-        attack_interval = result.attack_interval
-        quantiles = tuple(detector.thresholds.quantiles)
-        verdicts = {
-            q: densities < detector.threshold(q) for q in quantiles
-        }
-        summary: dict = {
+        outcome = score_scenario(result, detector)
+        summary = {
             "name": job.name,
+            **outcome.summary(),
+            # The registry name, not the attack class's own name.
             "scenario": job.scenario,
-            "intervals": len(result.series),
-            "attack_interval": attack_interval,
-            "revert_interval": result.revert_interval,
             "num_cells": job.config.spec.num_cells,
             "num_eigenmemories": detector.num_eigenmemories_,
-            "auc": roc_auc_from_scores(-densities, truth),
         }
-        for q in quantiles:
-            flags = verdicts[q]
-            tag = f"theta_{q:g}"
-            summary[f"pre_fpr_{tag}"] = (
-                float(flags[:attack_interval].mean()) if attack_interval else 0.0
-            )
-            summary[f"detection_rate_{tag}"] = (
-                float(flags[truth].mean()) if truth.any() else 0.0
-            )
-            summary[f"latency_{tag}"] = detection_latency(flags, attack_interval)
     stage_seconds["score"] = time.perf_counter() - started
 
     return JobResult(
@@ -459,12 +438,12 @@ def run_job(
         num_cells=job.config.spec.num_cells,
         num_eigenmemories=detector.num_eigenmemories_,
         detector_arrays=detector.to_arrays(),
-        log10_densities=densities / LN10,
-        log10_thresholds={q: detector.log10_threshold(q) for q in quantiles},
-        verdicts=verdicts,
-        ground_truth=truth,
-        attack_interval=attack_interval,
-        revert_interval=result.revert_interval,
+        log10_densities=outcome.log10_densities,
+        log10_thresholds=outcome.log10_thresholds,
+        verdicts={q: outcome.flags(q) for q in outcome.thresholds},
+        ground_truth=outcome.ground_truth,
+        attack_interval=outcome.scenario.attack_interval,
+        revert_interval=outcome.scenario.revert_interval,
         summary=summary,
         cache_hits=hits,
         cache_misses=misses,

@@ -239,24 +239,21 @@ def collect_training_data_cached(
     cache: Optional[ArtifactCache] = None,
 ) -> Tuple[TrainingData, bool]:
     """Collect (or load) the normal training/validation MHM traces."""
-    if cache is None:
-        data = collect_training_data(
+
+    def collect() -> TrainingData:
+        return collect_training_data(
             config,
             runs=runs,
             intervals_per_run=intervals_per_run,
             validation_intervals=validation_intervals,
             base_seed=base_seed,
         )
-        return data, False
+
+    if cache is None:
+        return collect(), False
 
     def compute() -> Dict[str, np.ndarray]:
-        data = collect_training_data(
-            config,
-            runs=runs,
-            intervals_per_run=intervals_per_run,
-            validation_intervals=validation_intervals,
-            base_seed=base_seed,
-        )
+        data = collect()
         return {
             **series_to_arrays(data.training, "training"),
             **series_to_arrays(data.validation, "validation"),

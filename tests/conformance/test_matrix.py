@@ -23,7 +23,8 @@ from repro.conformance.matrix import (
     build_matrix,
     validate_declarations,
 )
-from repro.pipeline.stages import SCENARIOS
+from repro.pipeline.cache import ArtifactCache
+from repro.pipeline.stages import SCENARIO_STAGE, SCENARIOS
 
 pytestmark = [pytest.mark.conformance]
 
@@ -96,6 +97,17 @@ class TestDeterminism:
         again = build_matrix(TINY_SIZING)
         assert again.to_dict() == tiny_matrix.to_dict()
         assert again.digest() == tiny_matrix.digest()
+
+    def test_scenario_stage_round_trips_through_the_cache(
+        self, tiny_matrix, tmp_path
+    ):
+        cache = ArtifactCache(tmp_path)
+        cold = build_matrix(TINY_SIZING, cache=cache)
+        assert cache.session_misses[SCENARIO_STAGE] == len(SCENARIOS)
+        assert SCENARIO_STAGE not in cache.session_hits
+        warm = build_matrix(TINY_SIZING, cache=cache)
+        assert cache.session_hits[SCENARIO_STAGE] == len(SCENARIOS)
+        assert warm.to_json() == cold.to_json() == tiny_matrix.to_json()
 
     def test_json_roundtrip_is_canonical(self, tiny_matrix):
         import json

@@ -11,8 +11,10 @@ from repro.pipeline.experiments import (
     get_reference_artifacts,
     run_app_launch_experiment,
     run_rootkit_experiment,
+    run_scenario_experiment,
     run_shellcode_experiment,
 )
+from repro.pipeline.stages import SCENARIOS
 
 
 class TestScales:
@@ -75,7 +77,8 @@ class TestOutcomes:
             "scenario",
             "intervals",
             "attack_interval",
-            "pre_fp_theta_1",
+            "auc",
+            "pre_fpr_theta_1",
             "detection_rate_theta_1",
             "latency_theta_1",
         ):
@@ -111,3 +114,19 @@ class TestOutcomes:
         load = outcome.scenario.attack_interval
         volumes = outcome.traffic_volumes()
         assert volumes[load] > 3 * np.median(volumes)
+
+
+class TestVerdictRule:
+    """Every outcome verdict is the detector's own ln-domain rule."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_flags_equal_classify_series(self, quick_artifacts, scenario):
+        outcome = run_scenario_experiment(scenario, quick_artifacts)
+        assert set(outcome.thresholds) == {0.5, 1.0}
+        for p_percent in outcome.thresholds:
+            np.testing.assert_array_equal(
+                outcome.flags(p_percent),
+                quick_artifacts.detector.classify_series(
+                    outcome.scenario.series, p_percent
+                ),
+            )

@@ -17,7 +17,6 @@ from repro.cli import (
 from repro.learn.ensemble import EnsembleConfig
 from repro.obs.snapshots import latest_snapshots
 from repro.pipeline.experiments import run_scenario_experiment
-from repro.pipeline.stages import make_attack
 
 GOLDEN_DETECT = json.loads(
     (
@@ -541,7 +540,7 @@ class TestDetectCommand:
         report = json.loads(capsys.readouterr().out)
         mhm_p, context_p = EnsembleConfig(rule=rule).budgets("ensemble", 1.0)
         outcome = run_scenario_experiment(
-            make_attack("mimicry"), quick_artifacts, scenario_seed=999
+            "mimicry", quick_artifacts, scenario_seed=999
         )
         fused = fuse(
             outcome.flags(mhm_p),
