@@ -48,6 +48,8 @@ from typing import Optional
 
 import numpy as np
 
+from .blas_threads import one_blas_thread
+
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
@@ -287,6 +289,7 @@ class FleetScores:
     context_residuals: Optional[np.ndarray] = None
 
 
+@one_blas_thread()
 def fleet_score_batch(
     matrix: np.ndarray,
     mean: np.ndarray,

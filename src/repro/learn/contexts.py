@@ -46,6 +46,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .. import kernels
+from ..kernels.blas_threads import one_blas_thread
 from ..obs import span
 from .kmeans import KMeansResult, kmeans
 from .threshold import DEFAULT_QUANTILES
@@ -160,6 +161,7 @@ class ContextDetector:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
+    @one_blas_thread()
     def fit(
         self,
         training_runs: Sequence[np.ndarray],

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.mhm import MemoryHeatMap
 from ..core.series import HeatMapSeries
+from ..kernels.blas_threads import one_blas_thread
 from ..obs import span
 from .gmm import GaussianMixtureModel
 from .pca import Eigenmemory
@@ -97,6 +98,7 @@ class MhmDetector:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
+    @one_blas_thread()
     def fit(
         self, training: MapsLike, validation: Optional[MapsLike] = None
     ) -> "MhmDetector":

@@ -359,9 +359,11 @@ def run_job(
     misses: Dict[str, int] = {}
 
     def record(stage: str, hit: bool) -> None:
-        (hits if hit else misses)[stage] = (hits if hit else misses).get(stage, 0) + 1
         if not hit:
             computed.append(stage)
+        if cache is not None:
+            counts = hits if hit else misses
+            counts[stage] = counts.get(stage, 0) + 1
 
     train = job.train
     train_mat = training_material(

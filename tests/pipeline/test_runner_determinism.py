@@ -102,6 +102,24 @@ class TestParallelEquivalence:
         names = [r.job.name for r in serial_results]
         assert names == [j.name for j in _tiny_grid()]
 
+    def test_no_cache_counts_no_hits_or_misses(self, serial_results):
+        """With the cache off there is nothing to hit or miss; every
+        stage is still computed and timed."""
+        for result in serial_results:
+            assert result.cache_hits == {}
+            assert result.cache_misses == {}
+            assert set(result.computed_stages) == {
+                "training",
+                "detector",
+                "scenario",
+            }
+            assert set(result.stage_seconds) == {
+                "training",
+                "detector",
+                "scenario",
+                "score",
+            }
+
 
 class TestCacheEquivalence:
     @pytest.fixture(scope="class")
