@@ -14,14 +14,15 @@ from repro.cli import (
     build_parser,
     main,
 )
+from repro.learn.detector import LN10
 from repro.learn.ensemble import EnsembleConfig
 from repro.obs.snapshots import latest_snapshots
 from repro.pipeline.experiments import run_scenario_experiment
 
-GOLDEN_DETECT = json.loads(
-    (
-        pathlib.Path(__file__).parent / "fixtures" / "golden_detect_quick.json"
-    ).read_text()
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GOLDEN_DETECT = json.loads((FIXTURES / "golden_detect_quick.json").read_text())
+GOLDEN_MONITOR_ATTACK = json.loads(
+    (FIXTURES / "golden_monitor_attack.json").read_text()
 )
 
 
@@ -172,6 +173,65 @@ class TestExitCodes:
         )
         capsys.readouterr()
         assert code == EXIT_OK
+
+
+def golden_verdicts(payload: dict) -> dict:
+    """The exactly pinned part of a ``monitor``/``attack`` JSON report:
+    per-interval flags, alarms (less their density) and the verdict
+    summaries.  ``monitor`` has no ``flags`` key; its flags are the
+    densities below the threshold."""
+    flags = payload.get("flags")
+    if flags is None:
+        threshold = payload["log10_threshold"]
+        flags = [d < threshold for d in payload["log10_densities"]]
+    view = {
+        "flags": "".join("1" if f else "0" for f in flags),
+        "alarms": [
+            {k: v for k, v in alarm.items() if k != "log_density"}
+            for alarm in payload["alarms"]
+        ],
+    }
+    for key in (
+        "first_alarm_interval",
+        "detection_latency_intervals",
+        "flagged",
+        "skipped",
+        "pre_attack_fpr",
+        "post_attack_flag_rate",
+    ):
+        if key in payload:
+            view[key] = payload[key]
+    return view
+
+
+class TestMonitorAttackGolden:
+    """``repro monitor``/``repro attack --json`` verdicts frozen on the
+    quick CLI detector: flags, alarms, summaries and exit codes are
+    exact; densities (ln) agree to 1e-12, since batch and one-row
+    scoring may differ in the last bits."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_MONITOR_ATTACK["cases"]))
+    def test_verdicts_match_golden(self, trained_detector_path, capsys, case):
+        golden = GOLDEN_MONITOR_ATTACK["cases"][case]
+        command, *rest = golden["argv"]
+        code = main(
+            [command, "--detector", str(trained_detector_path), "--json", *rest]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == golden["exit_code"]
+        assert golden_verdicts(payload) == golden["verdicts"]
+        np.testing.assert_allclose(
+            np.asarray(payload["log10_densities"]) * LN10,
+            np.asarray(golden["log10_densities"]) * LN10,
+            rtol=0,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            [alarm["log_density"] for alarm in payload["alarms"]],
+            golden["alarm_log_densities"],
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestJsonOutput:
