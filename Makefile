@@ -36,14 +36,17 @@ endif
 
 # The fault campaign: plan semantics, runner hardening drills
 # (retry/timeout/crash), serial-vs-parallel manifest identity, cache
-# sabotage, monitor degradation, golden fault fixture, and the
-# hypothesis property suites.  Failure manifests are published to
+# sabotage, SKIPPED-verdict degradation (repro monitor/attack and the
+# serve.score site) with the streaming-vs-batch alarm-rule
+# differential, golden fault fixture, and the hypothesis property
+# suites.  Failure manifests are published to
 # $REPRO_TEST_ARTIFACTS (CI uploads them on a red run).
 test-faults:
 	$(PYTHON) -m pytest tests/faults tests/learn/test_properties.py \
 	    tests/learn/test_contexts_properties.py \
 	    tests/pipeline/test_faults.py tests/pipeline/test_runner_hardening.py \
-	    tests/pipeline/test_monitoring_faults.py tests/pipeline/test_golden_faults.py \
+	    tests/pipeline/test_monitoring_faults.py tests/serve/test_worker.py \
+	    tests/pipeline/test_golden_faults.py \
 	    -p no:cacheprovider -q -W "error:::repro"
 
 # The second-modality suite alone: ContextDetector units, the

@@ -95,7 +95,7 @@ import sys
 
 import numpy as np
 
-from . import obs
+from . import kernels, obs
 from .conformance.matrix import SIZINGS as _SIZINGS
 from .conformance.matrix import (
     build_matrix,
@@ -103,19 +103,21 @@ from .conformance.matrix import (
     interval_detect,
 )
 from .faults import FaultPlan
+from .hw.securecore import AnalysisTimingModel
 from .learn.detector import LN10, MhmDetector
 from .learn.ensemble import ENSEMBLE_RULES, MODALITIES, EnsembleConfig
+from .learn.metrics import alarm_streaks
 from .pipeline.cache import ArtifactCache
 from .pipeline.experiments import (
     PAPER_SCALE,
     QUICK_SCALE,
     get_reference_artifacts,
     run_scenario_experiment,
+    score_scenario,
 )
-from .pipeline.monitoring import OnlineMonitor
 from .pipeline.runner import ExperimentRunner, JobFailedError, build_grid_jobs
-from .pipeline.scenario import ScenarioRunner
 from .pipeline.stages import SCENARIOS as _SCENARIOS
+from .pipeline.stages import run_scenario_cached
 from .pipeline.training import collect_training_data, train_detector
 from .serve import (
     SERVE_TRACE_CATEGORIES,
@@ -188,6 +190,13 @@ EXIT_MATRIX_DIVERGENCE = ExitCode.MATRIX_DIVERGENCE
 _SCALES = {"quick": QUICK_SCALE, "paper": PAPER_SCALE}
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--quantile", type=float, default=1.0, help="theta_p (%%)")
     monitor.add_argument(
         "--alarm-consecutive",
-        type=int,
+        type=_positive_int,
         default=3,
         help="consecutive abnormal intervals that raise an alarm (exit 3)",
     )
@@ -256,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--quantile", type=float, default=1.0)
     attack.add_argument(
         "--alarm-consecutive",
-        type=int,
+        type=_positive_int,
         default=1,
         help="consecutive abnormal intervals that raise an alarm (exit 3); "
         "1 reproduces the paper's raw per-interval verdicts",
@@ -760,22 +769,131 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _window_verdicts(
+    series, log_densities, detector, theta, args, interval_ns
+) -> dict:
+    """Judge one scored MHM window: flags at ``theta``, SKIPPED verdicts
+    and the K-consecutive alarms, plus their telemetry.
+
+    A non-finite density (an unscorable MHM) is a SKIPPED verdict: it
+    never flags and resets the alarm streak
+    (:func:`~repro.learn.metrics.alarm_streaks`).  Counters and trace
+    events are emitted once per window from the batch verdicts, on
+    simulated time (each interval's boundary).
+    """
+    skipped = ~np.isfinite(log_densities)
+    flags = (log_densities < theta) & ~skipped
+    streaks = alarm_streaks(flags, skipped)
+    indices = [heat_map.interval_index for heat_map in series]
+    boundaries = [heat_map.start_time_ns + interval_ns for heat_map in series]
+    alarms = [
+        {
+            "interval_index": indices[row],
+            "time_ns": boundaries[row],
+            "consecutive": args.alarm_consecutive,
+            "log_density": float(log_densities[row]),
+        }
+        for row in np.flatnonzero(streaks == args.alarm_consecutive)
+    ]
+    analysis_us = (
+        AnalysisTimingModel().analysis_time_us(
+            series.spec.num_cells,
+            detector.num_eigenmemories_,
+            detector.num_gaussians,
+        )
+        if len(series)
+        else 0.0
+    )
+
+    registry = obs.metrics()
+    registry.counter("monitor.intervals_scored").inc(int((~skipped).sum()))
+    registry.counter("monitor.intervals_flagged").inc(int(flags.sum()))
+    registry.counter("monitor.intervals_skipped").inc(int(skipped.sum()))
+    registry.counter("monitor.alarms").inc(len(alarms))
+    tracer = obs.tracer()
+    if tracer.enabled:
+        for row, index in enumerate(indices):
+            if skipped[row]:
+                tracer.instant(
+                    "monitor.skipped",
+                    boundaries[row],
+                    category="monitor",
+                    args={
+                        "interval_index": index,
+                        "reason": "non-finite interval density",
+                    },
+                )
+                continue
+            tracer.instant(
+                "detector.verdict",
+                boundaries[row],
+                category="detector",
+                args={
+                    "interval_index": index,
+                    "log_density": float(log_densities[row]),
+                    "anomalous": bool(flags[row]),
+                    "analysis_model_us": analysis_us,
+                },
+            )
+        for alarm in alarms:
+            tracer.instant(
+                "monitor.alarm",
+                alarm["time_ns"],
+                category="alarm",
+                args={
+                    key: alarm[key]
+                    for key in ("interval_index", "consecutive", "log_density")
+                },
+            )
+    return {
+        "flags": flags,
+        "skipped_intervals": [i for i, s in zip(indices, skipped) if s],
+        "alarms": alarms,
+        "analysis_time_us": analysis_us,
+    }
+
+
 def _cmd_monitor(args) -> int:
     detector = MhmDetector.load(args.detector)
+    theta = detector.threshold(args.quantile)
     config = PlatformConfig(seed=args.seed)
-    platform = Platform(config)
-    monitor = OnlineMonitor(
-        platform,
-        detector,
-        p_percent=args.quantile,
-        consecutive_for_alarm=args.alarm_consecutive,
+    with obs.span("monitor.run"):
+        series = Platform(config).collect_intervals(args.intervals)
+    log_densities = (
+        kernels.FleetScorer.from_detectors(detector)
+        .score(series.matrix())
+        .log_densities
     )
-    report = monitor.monitor(args.intervals)
-    densities = report.log_densities / LN10
-    flags = report.flagged
+    verdicts = _window_verdicts(
+        series, log_densities, detector, theta, args, config.interval_ns
+    )
+    alarms = verdicts["alarms"]
+    flagged = int(verdicts["flags"].sum())
+    skipped = len(verdicts["skipped_intervals"])
+    scored = len(series) - skipped
+    flag_rate = flagged / scored if scored else 0.0
+    densities = log_densities / LN10
 
     if args.json:
-        print(json.dumps(_report_json(args, report, densities, detector), indent=2))
+        interval_us = config.interval_ns / 1_000.0
+        payload = {
+            "command": "monitor",
+            "seed": args.seed,
+            "quantile_percent": args.quantile,
+            "intervals": len(series),
+            "flagged": flagged,
+            "flag_rate": flag_rate,
+            "skipped": skipped,
+            "skipped_intervals": verdicts["skipped_intervals"],
+            "kernels_backend": kernels.active_backend(),
+            "alarms": alarms,
+            "analysis_time_us": verdicts["analysis_time_us"],
+            "interval_us": interval_us,
+            "analysis_budget_fraction": verdicts["analysis_time_us"] / interval_us,
+            "log10_densities": densities,
+            "log10_threshold": detector.log10_threshold(args.quantile),
+        }
+        print(json.dumps(obs.to_jsonable(payload), indent=2))
     else:
         print(
             render_series(
@@ -786,9 +904,9 @@ def _cmd_monitor(args) -> int:
             )
         )
         print(
-            f"{flags} of {report.intervals} intervals flagged "
-            f"({report.flag_rate:.1%}) at theta_{args.quantile:g}; "
-            f"{len(report.alarms)} alarm(s)"
+            f"{flagged} of {len(series)} intervals flagged "
+            f"({flag_rate:.1%}) at theta_{args.quantile:g}; "
+            f"{len(alarms)} alarm(s)"
         )
     _obs_finish(
         args,
@@ -797,34 +915,35 @@ def _cmd_monitor(args) -> int:
         seed=args.seed,
         intervals=args.intervals,
         detector=str(args.detector),
-        alarms=len(report.alarms),
+        alarms=len(alarms),
     )
-    return EXIT_ALARM if report.alarms else EXIT_OK
+    return EXIT_ALARM if alarms else EXIT_OK
 
 
 def _cmd_attack(args) -> int:
     detector = MhmDetector.load(args.detector)
+    theta = detector.threshold(args.quantile)
     config = PlatformConfig(seed=args.seed)
-    platform = Platform(config)
-    monitor = OnlineMonitor(
-        platform,
-        detector,
-        p_percent=args.quantile,
-        consecutive_for_alarm=args.alarm_consecutive,
-    )
-    monitor.attach()
-    result = ScenarioRunner(platform).run(
-        _SCENARIOS[args.scenario](),
+    result, _ = run_scenario_cached(
+        config,
+        args.scenario,
+        None,
         pre_intervals=args.pre,
         attack_intervals=args.during,
+        scenario_seed=args.seed,
+        cache=None,
     )
-    results = platform.secure_core.online_results
-    densities = np.array([r.log_density for r in results]) / LN10
-    flags = np.array([r.is_anomalous for r in results])
+    log_densities = score_scenario(result, detector).log_densities
+    verdicts = _window_verdicts(
+        result.series, log_densities, detector, theta, args, config.interval_ns
+    )
+    alarms = verdicts["alarms"]
+    flags = verdicts["flags"]
+    densities = log_densities / LN10
     inject = result.attack_interval
     pre_fpr = float(flags[:inject].mean()) if inject else 0.0
     post_rate = float(flags[inject:].mean())
-    first_alarm = monitor.alarms[0].interval_index if monitor.alarms else None
+    first_alarm = alarms[0]["interval_index"] if alarms else None
 
     if args.json:
         payload = {
@@ -835,7 +954,7 @@ def _cmd_attack(args) -> int:
             "attack_interval": inject,
             "pre_attack_fpr": pre_fpr,
             "post_attack_flag_rate": post_rate,
-            "alarms": [vars(a) for a in monitor.alarms],
+            "alarms": alarms,
             "first_alarm_interval": first_alarm,
             "detection_latency_intervals": (
                 first_alarm - inject if first_alarm is not None else None
@@ -863,7 +982,7 @@ def _cmd_attack(args) -> int:
                     ["attack interval", inject],
                     ["pre-attack FPR", f"{pre_fpr:.1%}"],
                     ["post-attack flag rate", f"{post_rate:.1%}"],
-                    ["alarms", len(monitor.alarms)],
+                    ["alarms", len(alarms)],
                     [
                         "first alarm interval",
                         first_alarm if first_alarm is not None else "-",
@@ -879,31 +998,9 @@ def _cmd_attack(args) -> int:
         intervals=args.pre + args.during,
         scenario=args.scenario,
         detector=str(args.detector),
-        alarms=len(monitor.alarms),
+        alarms=len(alarms),
     )
-    return EXIT_ALARM if monitor.alarms else EXIT_OK
-
-
-def _report_json(args, report, densities, detector) -> dict:
-    return obs.to_jsonable(
-        {
-            "command": "monitor",
-            "seed": args.seed,
-            "quantile_percent": args.quantile,
-            "intervals": report.intervals,
-            "flagged": report.flagged,
-            "flag_rate": report.flag_rate,
-            "skipped": report.skipped,
-            "skipped_intervals": report.skipped_intervals,
-            "kernels_backend": report.kernels_backend,
-            "alarms": [vars(a) for a in report.alarms],
-            "analysis_time_us": report.analysis_time_us,
-            "interval_us": report.interval_us,
-            "analysis_budget_fraction": report.analysis_budget_fraction,
-            "log10_densities": densities,
-            "log10_threshold": detector.log10_threshold(args.quantile),
-        }
-    )
+    return EXIT_ALARM if alarms else EXIT_OK
 
 
 def _cmd_experiments(args) -> int:

@@ -51,9 +51,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..learn.ensemble import allowed_false_positive_rate
+from ..learn.metrics import alarm_streaks
 from ..pipeline.experiments import (
     QUICK_SCALE,
     ExperimentScale,
@@ -151,20 +150,12 @@ def _round(value: float) -> float:
     return round(float(value), 9)
 
 
-def _max_consecutive(flags: np.ndarray) -> int:
-    best = run = 0
-    for flag in np.asarray(flags, dtype=bool):
-        run = run + 1 if flag else 0
-        best = max(best, run)
-    return best
-
-
 def _gmm_alarm(
     outcome: ScenarioOutcome, sizing: MatrixSizing
 ) -> Tuple[str, Dict[str, float]]:
     start = outcome.scenario.attack_interval
     post = outcome.flags(sizing.p_percent)[start:]
-    longest = _max_consecutive(post)
+    longest = int(alarm_streaks(post).max(initial=0))
     detected = longest >= sizing.consecutive_for_alarm
     return (
         "detect" if detected else "miss",

@@ -46,7 +46,6 @@ KNOWN_SITES = frozenset(
         "runner.job",  # run_job entry (per attempt)
         "stages.fit",  # detector training compute (cache miss path)
         "stages.replay",  # scenario simulation compute (cache miss path)
-        "monitor.verdict",  # OnlineMonitor per-interval scoring
         "serve.score",  # ShardWorker per-record scoring (fleet service)
         "bus.publish",  # EventBus.publish, before fan-out (retried once)
         "bus.deliver",  # per queued subscription enqueue (retried once)

@@ -9,7 +9,7 @@ from .memometer import (
     Memometer,
     MemometerConfigError,
 )
-from .securecore import AnalysisTimingModel, OnlineResult, SecureCore
+from .securecore import AnalysisTimingModel, SecureCore
 
 __all__ = [
     "Memometer",
@@ -25,5 +25,4 @@ __all__ = [
     "L2_CONFIG",
     "SecureCore",
     "AnalysisTimingModel",
-    "OnlineResult",
 ]

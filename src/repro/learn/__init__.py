@@ -12,19 +12,13 @@ from .ensemble import (
     EnsembleConfig,
     allowed_false_positive_rate,
 )
-from .evaluation import (
-    DetectionSummary,
-    ThresholdInterval,
-    bootstrap_threshold_interval,
-    kfold_fpr,
-    summarize_detections,
-)
 from .fj import FigueiredoJainGmm
 from .gmm import GaussianMixtureModel, GmmParameters
 from .kmeans import KMeansResult, kmeans, kmeans_plus_plus_init
 from .localfeatures import LocalFeatureDetector, PatchCodebook, PatchExtractor
 from .metrics import (
     ConfusionCounts,
+    alarm_streaks,
     auc,
     confusion_from_flags,
     detection_latency,
@@ -57,11 +51,6 @@ __all__ = [
     "PatchCodebook",
     "TemporalDetector",
     "ComponentTransitionModel",
-    "bootstrap_threshold_interval",
-    "kfold_fpr",
-    "summarize_detections",
-    "ThresholdInterval",
-    "DetectionSummary",
     "ThresholdBank",
     "quantile_threshold",
     "DEFAULT_QUANTILES",
@@ -76,4 +65,5 @@ __all__ = [
     "auc",
     "roc_auc_from_scores",
     "detection_latency",
+    "alarm_streaks",
 ]

@@ -3,8 +3,9 @@
 The paper reports false-positive rates against θ_p quantiles and shows
 detection qualitatively (density drops in Figures 7–10).  For the
 quantitative benches and ablations we add the standard machinery:
-confusion counts, FPR/TPR, ROC/AUC over density scores, and detection
-latency (intervals from attack start to first flag).
+confusion counts, FPR/TPR, ROC/AUC over density scores, detection
+latency (intervals from attack start to first flag) and the
+K-consecutive alarm rule (:func:`alarm_streaks`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "auc",
     "roc_auc_from_scores",
     "detection_latency",
+    "alarm_streaks",
 ]
 
 
@@ -140,3 +142,23 @@ def detection_latency(flags: np.ndarray, attack_start_index: int) -> int:
     post = flags[attack_start_index:]
     hits = np.flatnonzero(post)
     return int(hits[0]) if hits.size else -1
+
+
+def alarm_streaks(flags: np.ndarray, skipped: np.ndarray | None = None) -> np.ndarray:
+    """Running count of consecutive flagged intervals, per interval.
+
+    The K-consecutive alarm rule: an OK verdict or a SKIPPED interval
+    (``skipped``; an unscorable MHM is no evidence either way) resets
+    the streak to 0.  An alarm fires at each interval whose streak
+    first equals K, ``np.flatnonzero(streaks == K)``, and the longest
+    run of flags is ``streaks.max()``.  :class:`repro.serve.worker.
+    ShardWorker` keeps the same rule one record at a time.
+    """
+    flags = np.asarray(flags, dtype=bool)
+    if skipped is not None:
+        flags = flags & ~np.asarray(skipped, dtype=bool)
+    index = np.arange(len(flags))
+    # Each interval's last reset: itself when not flagged, else the
+    # latest earlier non-flagged interval (-1 before the first).
+    last_reset = np.maximum.accumulate(np.where(flags, -1, index))
+    return index - last_reset

@@ -16,7 +16,6 @@ from .experiments import (
     run_shellcode_experiment,
     score_scenario,
 )
-from .monitoring import Alarm, MonitoringReport, OnlineMonitor
 from .runner import (
     ExperimentJob,
     ExperimentRunner,
@@ -49,9 +48,6 @@ __all__ = [
     "ScenarioRunner",
     "ScenarioResult",
     "ScenarioEvent",
-    "OnlineMonitor",
-    "MonitoringReport",
-    "Alarm",
     "ExperimentScale",
     "PAPER_SCALE",
     "QUICK_SCALE",

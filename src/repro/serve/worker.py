@@ -30,10 +30,14 @@ override, else the profile θ), and its drift verdict comes from
 :meth:`ShardWorker.drift_status` alone, for reports and the
 recalibration controller alike.
 
-Per-record degradation mirrors the single-device
-:class:`~repro.pipeline.monitoring.OnlineMonitor`: an injected
-``serve.score`` fault or a non-finite density degrades that record's
-verdict to SKIPPED and the stream continues.
+**One alarm rule.** An injected ``serve.score`` fault or a non-finite
+density degrades that record's verdict to SKIPPED and the stream
+continues.  ``_record`` and ``_skip`` keep each device's streak one
+record at a time: a flag extends it, an OK or SKIPPED verdict resets
+it, and an alarm fires when it reaches ``consecutive_for_alarm`` —
+the streaming form of :func:`repro.learn.metrics.alarm_streaks`,
+which ``repro monitor``/``repro attack`` and the conformance matrix
+apply to whole windows.
 """
 
 from __future__ import annotations

@@ -56,25 +56,32 @@ _USER_SLICE_SPAN = (_USER_SLICE_WORDS - 1) * 4
 
 @dataclass
 class TaskStats:
-    """Per-task accounting."""
+    """Per-task accounting, constant in size however long a task runs.
+
+    Response times are kept as a sum and a max over ``completions``:
+    the sum of int64 nanoseconds stays far below 2**53, so
+    ``mean_response_ns`` is the exact mean correctly rounded.
+    """
 
     releases: int = 0
     completions: int = 0
     deadline_misses: int = 0
     preemptions: int = 0
-    response_times_ns: list[int] = field(default_factory=list)
+    response_sum_ns: int = 0
+    max_response_ns: int = 0
     total_user_ns: int = 0
     total_kernel_ns: int = 0
 
-    @property
-    def mean_response_ns(self) -> float:
-        if not self.response_times_ns:
-            return 0.0
-        return float(np.mean(self.response_times_ns))
+    def record_completion(self, response_ns: int) -> None:
+        self.completions += 1
+        self.response_sum_ns += response_ns
+        self.max_response_ns = max(self.max_response_ns, response_ns)
 
     @property
-    def max_response_ns(self) -> int:
-        return max(self.response_times_ns, default=0)
+    def mean_response_ns(self) -> float:
+        if not self.completions:
+            return 0.0
+        return self.response_sum_ns / self.completions
 
 
 @dataclass
@@ -348,8 +355,7 @@ class RMScheduler:
         tcb = self._tasks.get(job.task.name)
         if tcb is not None:
             tcb.active_job = None
-            tcb.stats.completions += 1
-            tcb.stats.response_times_ns.append(job.response_time_ns)
+            tcb.stats.record_completion(job.response_time_ns)
         self._current = None
         self._dispatch()
 

@@ -144,7 +144,7 @@ class Platform:
         self.scheduler = self.schedulers[0]
         self.processes = ProcessManager(self.sim, self.kernel, self.schedulers)
 
-        self.secure_core = SecureCore(self.spec, clock=lambda: self.sim.now)
+        self.secure_core = SecureCore(self.spec)
         self.memometer = Memometer(
             ControlRegisters(
                 base_address=self.config.base_address,

@@ -34,6 +34,16 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultPlan(sites={"cache.reed": FaultSpec(mode="raise")})
 
+    def test_retired_monitor_site_is_unknown(self):
+        # The removed online monitor's per-interval site is gone: no
+        # code checks it, so a plan naming it fails fast like any
+        # unknown site (serve.score is the per-interval site).
+        site = ".".join(("monitor", "verdict"))
+        assert site not in faults.KNOWN_SITES
+        assert "serve.score" in faults.KNOWN_SITES
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultPlan.from_dict({"sites": {site: {"mode": "corrupt"}}})
+
 
 class TestDecisionDeterminism:
     @given(

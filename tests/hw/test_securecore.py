@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.mhm import MemoryHeatMap
 from repro.core.spec import HeatMapSpec
 from repro.hw.securecore import AnalysisTimingModel, SecureCore
+from repro.learn.metrics import alarm_streaks
 
 
 class TestTimingModel:
@@ -58,24 +60,24 @@ class TestSecureCore:
             core.receive(MemoryHeatMap(other))
 
     def test_online_scoring(self, spec):
+        """The secure core archives; the verdict is taken over the
+        archived window, and the timing model prices it per MHM."""
         core = SecureCore(spec)
-        core.attach_detector(
-            scorer=lambda m: (float(-m.total_accesses), m.total_accesses > 5),
-            num_components=9,
-            num_gaussians=5,
-        )
         core.receive(self._map(spec, 0, count=1))
         core.receive(self._map(spec, 1, count=10))
-        assert len(core.online_results) == 2
-        assert not core.online_results[0].is_anomalous
-        assert core.online_results[1].is_anomalous
-        assert core.anomalous_intervals() == [1]
-        # Timing model applied with the attached detector's dimensions.
-        assert core.online_results[0].analysis_time_us > 0
+        counts = core.series().matrix().sum(axis=1)
+        flags = counts > 5
+        streaks = alarm_streaks(flags)
+        assert flags.tolist() == [False, True]
+        assert np.flatnonzero(streaks == 1).tolist() == [1]
+        assert AnalysisTimingModel().analysis_time_us(spec.num_cells, 9, 5) > 0
 
-    def test_detach_detector(self, spec):
-        core = SecureCore(spec)
-        core.attach_detector(lambda m: (0.0, False), 9, 5)
-        core.detach_detector()
-        core.receive(self._map(spec))
-        assert core.online_results == []
+    def test_receive_records_no_verdict(self, spec):
+        with obs.observed() as (registry, _):
+            core = SecureCore(spec)
+            core.receive(self._map(spec))
+            snapshot = registry.snapshot()
+        assert snapshot["securecore.mhms_received"]["value"] == 1
+        assert [k for k in snapshot if k.startswith("securecore.")] == [
+            "securecore.mhms_received"
+        ]

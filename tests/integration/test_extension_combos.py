@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.attacks import ShellcodeAttack, SyscallHijackRootkit
 from repro.learn.detector import MhmDetector
-from repro.pipeline.monitoring import OnlineMonitor
+from repro.learn.metrics import alarm_streaks
 from repro.sim.platform import Platform, PlatformConfig
 from repro.sim.smp import partition_tasks
 from repro.sim.workloads.mibench import paper_taskset
@@ -43,7 +44,7 @@ class TestRtosWithAttacks:
         assert detector.classify_series(normal, 1.0).mean() <= 0.08
 
 
-class TestSmpOnlineMonitoring:
+class TestSmpMonitoring:
     def test_online_alarm_on_smp_platform(self):
         tasks = tuple(partition_tasks(paper_taskset(), 2))
         config = PlatformConfig(seed=311, monitored_cores=2, tasks=tasks)
@@ -52,18 +53,24 @@ class TestSmpOnlineMonitoring:
         detector = MhmDetector(em_restarts=2, seed=0).fit(training, validation)
 
         platform = Platform(config.with_seed(313))
-        monitor = OnlineMonitor(
-            platform, detector, p_percent=1.0, consecutive_for_alarm=2
-        )
-        quiet = monitor.monitor(50)
-        assert quiet.flag_rate <= 0.1
+        scorer = kernels.FleetScorer.from_detectors(detector)
+        theta = detector.threshold(1.0)
+        quiet = scorer.score(platform.collect_intervals(50).matrix())
+        quiet_flags = quiet.log_densities < theta
+        assert quiet_flags.mean() <= 0.1
 
         # Attack a task living on the second core.
         victim = next(t.name for t in tasks if t.core == 1)
         ShellcodeAttack(host=victim).inject(platform)
-        noisy = monitor.monitor(50)
-        assert noisy.alarms
-        assert noisy.flagged >= 20
+        noisy = scorer.score(platform.collect_intervals(50).matrix())
+        noisy_flags = noisy.log_densities < theta
+        assert noisy_flags.sum() >= 20
+        # One alarm rule over the whole run, K = 2: it fires, and only
+        # after the attack.
+        streaks = alarm_streaks(np.concatenate([quiet_flags, noisy_flags]))
+        alarms = np.flatnonzero(streaks == 2)
+        assert alarms.size
+        assert alarms[0] >= 50
 
 
 class TestTemporalOnRtos:

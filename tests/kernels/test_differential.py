@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.kernels import reference, vectorized
-from repro.pipeline.monitoring import OnlineMonitor
+from repro.learn.metrics import alarm_streaks
 from repro.sim.platform import Platform
 from repro.sim.trace import synthetic_burst
 
@@ -272,23 +272,28 @@ class TestEndToEnd:
 
     @pytest.mark.slow
     def test_online_monitor_alarms_identical(self, quick_artifacts):
-        """The online monitor raises the same alarms at the same
+        """The monitor path (one fused call over the window, then the
+        K-consecutive rule) raises the same alarms at the same
         intervals whichever backend scores the stream."""
-        reports = {}
+        detector = quick_artifacts.detector
+        theta = detector.threshold(1.0)
+        runs = {}
         for backend in kernels.BACKENDS:
             with kernels.use_backend(backend):
-                platform = Platform(quick_artifacts.config)
-                monitor = OnlineMonitor(
-                    platform, quick_artifacts.detector, p_percent=1.0
+                assert kernels.active_backend() == backend
+                series = Platform(quick_artifacts.config).collect_intervals(12)
+                densities = (
+                    kernels.FleetScorer.from_detectors(detector)
+                    .score(series.matrix())
+                    .log_densities
                 )
-                reports[backend] = monitor.monitor(12)
-        vec, ref = reports["vectorized"], reports["reference"]
-        assert vec.kernels_backend == "vectorized"
-        assert ref.kernels_backend == "reference"
-        assert vec.flagged == ref.flagged
-        assert [a.interval_index for a in vec.alarms] == [
-            a.interval_index for a in ref.alarms
-        ]
-        np.testing.assert_allclose(
-            vec.log_densities, ref.log_densities, atol=ATOL, rtol=0
+            flags = densities < theta
+            streaks = alarm_streaks(flags, ~np.isfinite(densities))
+            runs[backend] = densities, flags, np.flatnonzero(streaks == 1)
+        (vec_d, vec_f, vec_a), (ref_d, ref_f, ref_a) = (
+            runs["vectorized"],
+            runs["reference"],
         )
+        np.testing.assert_array_equal(vec_f, ref_f)
+        np.testing.assert_array_equal(vec_a, ref_a)
+        np.testing.assert_allclose(vec_d, ref_d, atol=ATOL, rtol=0)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.learn.metrics import (
     ConfusionCounts,
+    alarm_streaks,
     auc,
     confusion_from_flags,
     detection_latency,
@@ -113,3 +114,28 @@ class TestDetectionLatency:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             detection_latency(np.zeros(3, dtype=bool), attack_start_index=4)
+
+
+class TestAlarmStreaks:
+    def test_running_streak_resets_on_ok(self):
+        flags = np.array([1, 1, 0, 1, 1, 1, 0, 1], dtype=bool)
+        assert alarm_streaks(flags).tolist() == [1, 2, 0, 1, 2, 3, 0, 1]
+
+    def test_skip_resets_like_ok(self):
+        flags = np.array([1, 1, 1, 1], dtype=bool)
+        skipped = np.array([0, 1, 0, 0], dtype=bool)
+        assert alarm_streaks(flags, skipped).tolist() == [1, 0, 1, 2]
+
+    def test_skipped_flag_never_counts(self):
+        # A skipped interval's flag, if any, is ignored.
+        assert alarm_streaks([True], [True]).tolist() == [0]
+
+    def test_alarms_and_longest_run(self):
+        streaks = alarm_streaks([1, 1, 1, 0, 1, 1, 1, 1])
+        assert np.flatnonzero(streaks == 3).tolist() == [2, 6]
+        assert streaks.max() == 4
+
+    def test_empty_window(self):
+        streaks = alarm_streaks(np.zeros(0, dtype=bool))
+        assert streaks.shape == (0,)
+        assert streaks.max(initial=0) == 0

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.learn.detector import MhmDetector
-from repro.pipeline.monitoring import OnlineMonitor
-from repro.pipeline.scenario import ScenarioRunner
-from repro.attacks import SyscallHijackRootkit
+from repro.learn.metrics import alarm_streaks
+from repro.pipeline.experiments import score_scenario
+from repro.pipeline.stages import run_scenario_cached
 from repro.sim.platform import Platform, PlatformConfig
 
 
@@ -43,15 +43,16 @@ def _train_and_score(seed: int):
         num_gaussians=2, em_restarts=2, seed=seed
     ).fit(training, validation)
 
-    attack_platform = Platform(PlatformConfig(seed=seed + 2))
-    monitor = OnlineMonitor(
-        attack_platform, detector, consecutive_for_alarm=1
+    result, _ = run_scenario_cached(
+        PlatformConfig(),
+        "rootkit",
+        pre_intervals=10,
+        attack_intervals=10,
+        scenario_seed=seed + 2,
     )
-    monitor.attach()
-    result = ScenarioRunner(attack_platform).run(
-        SyscallHijackRootkit(), pre_intervals=10, attack_intervals=10
-    )
-    results = attack_platform.secure_core.online_results
+    densities = score_scenario(result, detector).log_densities
+    verdicts = densities < detector.threshold(1.0)
+    streaks = alarm_streaks(verdicts, ~np.isfinite(densities))
     return {
         "training": training.matrix(),
         "pca_mean": detector.eigenmemory.mean_,
@@ -61,9 +62,9 @@ def _train_and_score(seed: int):
         "gmm_covariances": detector.gmm.parameters.covariances,
         "threshold": np.array([detector.threshold(1.0)]),
         "series": result.series.matrix(),
-        "densities": np.array([r.log_density for r in results]),
-        "verdicts": np.array([r.is_anomalous for r in results]),
-        "alarm_intervals": np.array([a.interval_index for a in monitor.alarms]),
+        "densities": densities,
+        "verdicts": verdicts,
+        "alarm_intervals": np.flatnonzero(streaks == 1),
     }
 
 

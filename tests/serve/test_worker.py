@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults, kernels
+from repro.learn.metrics import alarm_streaks
 from repro.serve.registry import DetectorRegistry
 from repro.serve.worker import ShardWorker
 from repro.sim.fleet import DeviceSpec, DeviceStream, IntervalRecord, build_fleet_specs
@@ -131,6 +134,68 @@ class TestWorkerScoring:
         worker._skip(state, records[0])
         assert state.streak == 0
         assert state.flags[-1] == "skipped"
+
+
+class _FixedTheta:
+    """A stand-in detector: θ = -5 for every p."""
+
+    def threshold(self, p_percent):
+        return -5.0
+
+
+#: Log densities that the worker judges anomalous / OK at θ = -5.
+_DENSITY = {"flag": -10.0, "ok": -1.0}
+
+
+def stream_through_worker(verdicts, consecutive):
+    """Feed a flag/ok/skip sequence through one device's streaming
+    rule; return its ``(alarms, final streak)``."""
+    spec = DeviceSpec(device_id="d", index=0, profile="baseline", seed=1)
+    worker = ShardWorker(
+        {"baseline": _FixedTheta()}, [spec], consecutive_for_alarm=consecutive
+    )
+    state = worker.states["d"]
+    for index, verdict in enumerate(verdicts):
+        record = IntervalRecord(
+            device_index=0, device_id="d", profile="baseline",
+            interval_index=index, vector=None, truth=False,
+        )
+        if verdict == "skip":
+            worker._skip(state, record)
+        else:
+            worker._record(state, record, _DENSITY[verdict], -5.0)
+    return state.alarms, state.streak
+
+
+def batch_rule(verdicts, consecutive):
+    """The same sequence through :func:`alarm_streaks`."""
+    flags = np.array([v == "flag" for v in verdicts], dtype=bool)
+    skipped = np.array([v == "skip" for v in verdicts], dtype=bool)
+    streaks = alarm_streaks(flags, skipped)
+    final = int(streaks[-1]) if len(streaks) else 0
+    return np.flatnonzero(streaks == consecutive).tolist(), final
+
+
+class TestOneAlarmRule:
+    """``ShardWorker._record``/``_skip`` are the streaming form of the
+    batch K-consecutive rule the CLI and the conformance matrix use."""
+
+    @given(
+        verdicts=st.lists(st.sampled_from(["flag", "ok", "skip"]), max_size=40),
+        consecutive=st.sampled_from([1, 2, 3, 5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_worker_streak_equals_batch_rule(self, verdicts, consecutive):
+        assert stream_through_worker(verdicts, consecutive) == batch_rule(
+            verdicts, consecutive
+        )
+
+    def test_skip_breaks_a_streak(self):
+        # flag, SKIP, flag, flag at K = 3: the skip resets the streak,
+        # so the two flags after it do not complete an alarm.
+        verdicts = ["flag", "skip", "flag", "flag"]
+        assert stream_through_worker(verdicts, 3) == ([], 2)
+        assert batch_rule(verdicts, 3) == ([], 2)
 
 
 def test_serve_import_loads_the_scoring_backend():

@@ -5,14 +5,18 @@ syscall row out of its platform as it emits them
 (:meth:`~repro.sim.platform.Platform.take_interval`), so however long it
 runs the platform holds at most one of each.  Everything else that
 reads a platform (training, scenario runs, ``series()``) keeps the full
-archive, and the taken intervals are the archived ones.
+archive, and the taken intervals are the archived ones.  Per-task
+scheduler statistics stay a fixed set of counters too.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core.mhm import MemoryHeatMap
 from repro.sim.fleet import DeviceSpec, DeviceStream
+from repro.sim.kernel.scheduler import TaskStats
 from repro.sim.platform import Platform, PlatformConfig
 from repro.sim.task import SyscallUse, TaskDefinition
 
@@ -51,6 +55,14 @@ def test_ten_thousand_interval_stream_holds_one_interval():
     assert held <= 1
     assert platform.intervals_completed == 10_000
     assert platform.memometer.intervals_completed == 10_000
+    # Per-task accounting is a fixed set of counters, not a per-job log.
+    stats = platform.scheduler.task("light").stats
+    assert stats.completions >= 9_999
+    assert all(
+        type(getattr(stats, f.name)) is int for f in dataclasses.fields(stats)
+    )
+    assert stats.mean_response_ns == stats.response_sum_ns / stats.completions
+    assert 0 < stats.mean_response_ns <= stats.max_response_ns
 
 
 def test_taken_intervals_are_the_archived_ones():
@@ -93,3 +105,25 @@ def test_public_constructor_still_validates_and_copies():
         MemoryHeatMap(spec, counts - 1)
     with pytest.raises(ValueError, match="shape"):
         MemoryHeatMap(spec, counts[:-1])
+
+
+def test_task_stats_equal_a_per_job_log(monkeypatch):
+    """Count, sum and max give exactly what a per-job list gave:
+    ``np.mean`` of the list and its ``max``."""
+    log = {}
+    record_completion = TaskStats.record_completion
+
+    def logging(stats, response_ns):
+        log.setdefault(id(stats), []).append(response_ns)
+        record_completion(stats, response_ns)
+
+    monkeypatch.setattr(TaskStats, "record_completion", logging)
+    platform = Platform(PlatformConfig(seed=23))
+    platform.run_intervals(50)
+    for stats in platform.scheduler.stats_summary().values():
+        responses = log.get(id(stats), [])
+        assert stats.completions == len(responses)
+        assert stats.mean_response_ns == (
+            float(np.mean(responses)) if responses else 0.0
+        )
+        assert stats.max_response_ns == max(responses, default=0)

@@ -207,8 +207,9 @@ def golden_verdicts(payload: dict) -> dict:
 class TestMonitorAttackGolden:
     """``repro monitor``/``repro attack --json`` verdicts frozen on the
     quick CLI detector: flags, alarms, summaries and exit codes are
-    exact; densities (ln) agree to 1e-12, since batch and one-row
-    scoring may differ in the last bits."""
+    exact.  Densities (ln) agree to 1e-12 plus 1e-14 relative: batch
+    and one-row scoring may differ in the last bits, and a few
+    ulps of an attacked interval's ln density near -2.6e5 is ~1e-10."""
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_MONITOR_ATTACK["cases"]))
     def test_verdicts_match_golden(self, trained_detector_path, capsys, case):
@@ -223,13 +224,13 @@ class TestMonitorAttackGolden:
         np.testing.assert_allclose(
             np.asarray(payload["log10_densities"]) * LN10,
             np.asarray(golden["log10_densities"]) * LN10,
-            rtol=0,
+            rtol=1e-14,
             atol=1e-12,
         )
         np.testing.assert_allclose(
             [alarm["log_density"] for alarm in payload["alarms"]],
             golden["alarm_log_densities"],
-            rtol=0,
+            rtol=1e-14,
             atol=1e-12,
         )
 
@@ -321,7 +322,13 @@ class TestObservabilityArtifacts:
         assert data["command"] == "monitor"
         assert data["intervals"] == 10
         assert data["metrics"]["monitor.intervals_scored"]["value"] == 10
-        assert data["metrics"]["monitor.analysis_wall_us"]["count"] == 10
+        # One verdict per interval, stamped at its boundary; a batch
+        # call has no per-interval wall time to record.
+        verdicts = [
+            e for e in loaded["traceEvents"] if e["name"] == "detector.verdict"
+        ]
+        assert [e["ts"] for e in verdicts] == [e["ts"] for e in boundaries]
+        assert "monitor.analysis_wall_us" not in data["metrics"]
         assert data["extra"]["trace_events"] == len(loaded["traceEvents"]) - 1
 
     def test_attack_trace_contains_alarm_events(
