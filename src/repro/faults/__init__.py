@@ -106,7 +106,7 @@ def check(site: str, token: str = "-") -> Optional[FaultSpec]:
 
     * ``raise`` mode raises :class:`FaultError` (callers do *not*
       catch it unless graceful degradation is their contract — the
-      online monitor does, the cache does not);
+      shard worker's ``serve.score`` does, the cache does not);
     * ``delay`` mode sleeps ``delay_seconds`` and returns the spec;
     * ``corrupt`` / ``truncate`` modes return the spec — the caller
       applies :func:`mangle` to the payload it owns;

@@ -223,8 +223,8 @@ def log_density_batch(
     """GMM mixture log density ``ln Pr(M)`` for N samples in one pass.
 
     Shared by EM's likelihood evaluation, threshold calibration and
-    the online monitor (paper Eq. 2, evaluated in log space with the
-    log-sum-exp trick).
+    ``MhmDetector`` scoring (paper Eq. 2, evaluated in log space with
+    the log-sum-exp trick).
     """
     return backend_module().log_density_batch(data, weights, means, cholesky_factors)
 

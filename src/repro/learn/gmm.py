@@ -20,7 +20,7 @@ of a predictable real-time workload cannot collapse EM.
 
 Density evaluation routes through :mod:`repro.kernels`
 (``log_density_batch`` / ``responsibilities_batch``): the E-step,
-threshold calibration and the online monitor all share one batched
+threshold calibration and detector scoring all share one batched
 scoring kernel, and ``REPRO_KERNELS=reference`` swaps in the scalar
 oracle the differential suite compares against.  Collapsed mixture
 components (zero weight) score as exactly ``-inf`` without tripping

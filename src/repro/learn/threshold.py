@@ -69,7 +69,7 @@ class ThresholdBank:
         Scores the whole validation set through the batched
         ``repro.kernels`` density kernel (one pass over all samples and
         components) before taking the quantiles — the same scoring path
-        EM and the online monitor use, so a backend switch cannot move
+        EM and detector scoring use, so a backend switch cannot move
         the thresholds relative to the densities they gate.
         """
         return cls.calibrate(gmm.score_samples(reduced_validation), quantiles)
