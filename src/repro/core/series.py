@@ -9,14 +9,14 @@ series, and the detector scores a series interval by interval
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .mhm import MemoryHeatMap
 from .spec import HeatMapSpec
 
-__all__ = ["HeatMapSeries"]
+__all__ = ["HeatMapSeries", "as_matrix"]
 
 
 class HeatMapSeries:
@@ -134,3 +134,17 @@ class HeatMapSeries:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HeatMapSeries(n={len(self)}, cells={self.spec.num_cells})"
+
+
+def as_matrix(data: Union[HeatMapSeries, np.ndarray]) -> np.ndarray:
+    """Heat maps as the ``(N, L)`` float64 matrix :mod:`repro.learn`
+    fits and scores: a series' rows, or an array (a single 1-D map is
+    one row).  Anything that is not 2-D after that is rejected."""
+    if isinstance(data, HeatMapSeries):
+        return data.matrix()
+    matrix = np.asarray(data, dtype=np.float64)
+    if matrix.ndim == 1:
+        matrix = matrix[np.newaxis, :]
+    if matrix.ndim != 2:
+        raise ValueError(f"expected an (N, L) matrix, got shape {matrix.shape}")
+    return matrix

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core.mhm import MemoryHeatMap
-from ..core.series import HeatMapSeries
+from ..core.series import HeatMapSeries, as_matrix
 from ..kernels.blas_threads import one_blas_thread
 from ..obs import span
 from .gmm import GaussianMixtureModel
@@ -33,15 +33,6 @@ __all__ = ["MhmDetector"]
 LN10 = float(np.log(10.0))
 
 MapsLike = Union[HeatMapSeries, np.ndarray]
-
-
-def _as_matrix(data: MapsLike) -> np.ndarray:
-    if isinstance(data, HeatMapSeries):
-        return data.matrix()
-    matrix = np.asarray(data, dtype=np.float64)
-    if matrix.ndim == 1:
-        matrix = matrix[np.newaxis, :]
-    return matrix
 
 
 class MhmDetector:
@@ -114,7 +105,7 @@ class MhmDetector:
             calibrated on the training densities — cheaper, slightly
             optimistic.
         """
-        train_matrix = _as_matrix(training)
+        train_matrix = as_matrix(training)
         with span("fit.pca"):
             self.eigenmemory.fit(train_matrix)
             reduced = self.eigenmemory.transform(train_matrix)
@@ -129,7 +120,7 @@ class MhmDetector:
 
         with span("fit.thresholds"):
             if validation is not None:
-                calibration = self.eigenmemory.transform(_as_matrix(validation))
+                calibration = self.eigenmemory.transform(as_matrix(validation))
             else:
                 calibration = reduced
             self.thresholds = ThresholdBank.calibrate_from_gmm(
@@ -167,7 +158,7 @@ class MhmDetector:
     def score_series(self, series: MapsLike) -> np.ndarray:
         """Natural-log densities for every MHM of a series."""
         self._require_fitted()
-        reduced = self.eigenmemory.transform(_as_matrix(series))
+        reduced = self.eigenmemory.transform(as_matrix(series))
         return self.gmm.score_samples(reduced)
 
     def log10_series(self, series: MapsLike) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core.mhm import MemoryHeatMap
-from ..core.series import HeatMapSeries
+from ..core.series import HeatMapSeries, as_matrix
 from .gmm import GaussianMixtureModel
 from .kmeans import kmeans
 from .threshold import DEFAULT_QUANTILES, ThresholdBank
@@ -43,15 +43,6 @@ from .threshold import DEFAULT_QUANTILES, ThresholdBank
 __all__ = ["PatchExtractor", "PatchCodebook", "LocalFeatureDetector"]
 
 MapsLike = Union[HeatMapSeries, np.ndarray]
-
-
-def _as_matrix(data: MapsLike) -> np.ndarray:
-    if isinstance(data, HeatMapSeries):
-        return data.matrix()
-    matrix = np.asarray(data, dtype=np.float64)
-    if matrix.ndim == 1:
-        matrix = matrix[np.newaxis, :]
-    return matrix
 
 
 class PatchExtractor:
@@ -175,7 +166,7 @@ class LocalFeatureDetector:
     def fit(
         self, training: MapsLike, validation: Optional[MapsLike] = None
     ) -> "LocalFeatureDetector":
-        matrix = _as_matrix(training)
+        matrix = as_matrix(training)
         all_patches = np.concatenate(
             [self.extractor.patches(row) for row in matrix]
         )
@@ -187,7 +178,7 @@ class LocalFeatureDetector:
             seed=self.seed,
         ).fit(histograms)
         calibration = (
-            self._histograms(_as_matrix(validation))
+            self._histograms(as_matrix(validation))
             if validation is not None
             else histograms
         )
@@ -213,7 +204,7 @@ class LocalFeatureDetector:
 
     def score_series(self, series: MapsLike) -> np.ndarray:
         self._require_fitted()
-        return self.gmm.score_samples(self._histograms(_as_matrix(series)))
+        return self.gmm.score_samples(self._histograms(as_matrix(series)))
 
     def threshold(self, p_percent: float) -> float:
         self._require_fitted()

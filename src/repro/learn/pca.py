@@ -31,22 +31,11 @@ import numpy as np
 
 from .. import kernels
 from ..core.mhm import MemoryHeatMap
-from ..core.series import HeatMapSeries
+from ..core.series import HeatMapSeries, as_matrix
 
 __all__ = ["Eigenmemory"]
 
 ArrayLike = Union[np.ndarray, HeatMapSeries]
-
-
-def _as_matrix(data: ArrayLike) -> np.ndarray:
-    if isinstance(data, HeatMapSeries):
-        return data.matrix()
-    matrix = np.asarray(data, dtype=np.float64)
-    if matrix.ndim == 1:
-        matrix = matrix[np.newaxis, :]
-    if matrix.ndim != 2:
-        raise ValueError(f"expected an (N, L) matrix, got shape {matrix.shape}")
-    return matrix
 
 
 class Eigenmemory:
@@ -97,7 +86,7 @@ class Eigenmemory:
     # ------------------------------------------------------------------
     def fit(self, data: ArrayLike) -> "Eigenmemory":
         """Learn Ψ and the eigenmemories from a normal training set."""
-        matrix = _as_matrix(data)
+        matrix = as_matrix(data)
         n_samples, n_cells = matrix.shape
         if n_samples < 2:
             raise ValueError("need at least two training heat maps")
@@ -156,7 +145,7 @@ class Eigenmemory:
     def transform(self, data: ArrayLike) -> np.ndarray:
         """Project MHMs onto the eigenmemory space: ``M′ = uᵀ(M − Ψ)``."""
         self._require_fitted()
-        matrix = _as_matrix(data)
+        matrix = as_matrix(data)
         if matrix.shape[1] != len(self.mean_):
             raise ValueError(
                 f"expected {len(self.mean_)} cells, got {matrix.shape[1]}"
@@ -183,7 +172,7 @@ class Eigenmemory:
 
     def reconstruction_error(self, data: ArrayLike) -> np.ndarray:
         """Per-sample RMS error of the rank-L′ approximation."""
-        matrix = _as_matrix(data)
+        matrix = as_matrix(data)
         reconstructed = self.inverse_transform(self.transform(matrix))
         return np.sqrt(np.mean((matrix - reconstructed) ** 2, axis=1))
 

@@ -24,22 +24,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..core.series import HeatMapSeries
+from ..core.series import HeatMapSeries, as_matrix
 from .detector import MhmDetector
 from .threshold import quantile_threshold
 
 __all__ = ["ComponentTransitionModel", "TemporalDetector"]
 
 MapsLike = Union[HeatMapSeries, np.ndarray]
-
-
-def _as_matrix(data: MapsLike) -> np.ndarray:
-    if isinstance(data, HeatMapSeries):
-        return data.matrix()
-    matrix = np.asarray(data, dtype=np.float64)
-    if matrix.ndim == 1:
-        matrix = matrix[np.newaxis, :]
-    return matrix
 
 
 class ComponentTransitionModel:
@@ -144,7 +135,7 @@ class TemporalDetector:
 
     # ------------------------------------------------------------------
     def _assignments(self, series: MapsLike) -> np.ndarray:
-        reduced = self.detector.eigenmemory.transform(_as_matrix(series))
+        reduced = self.detector.eigenmemory.transform(as_matrix(series))
         return self.detector.gmm.predict_component(reduced)
 
     def fit(
