@@ -855,7 +855,11 @@ def _window_verdicts(
 
 def _cmd_monitor(args) -> int:
     detector = MhmDetector.load(args.detector)
-    theta = detector.threshold(args.quantile)
+    try:
+        theta = detector.threshold(args.quantile)
+    except KeyError as exc:  # no θ calibrated at --quantile
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return ExitCode.USAGE
     config = PlatformConfig(seed=args.seed)
     with obs.span("monitor.run"):
         series = Platform(config).collect_intervals(args.intervals)
@@ -922,7 +926,11 @@ def _cmd_monitor(args) -> int:
 
 def _cmd_attack(args) -> int:
     detector = MhmDetector.load(args.detector)
-    theta = detector.threshold(args.quantile)
+    try:
+        theta = detector.threshold(args.quantile)
+    except KeyError as exc:  # no θ calibrated at --quantile
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return ExitCode.USAGE
     config = PlatformConfig(seed=args.seed)
     result, _ = run_scenario_cached(
         config,

@@ -159,6 +159,32 @@ class TestExitCodes:
         assert code == 1
         assert "does not exist" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["monitor", "--intervals", "5"], ["attack", "--scenario", "shellcode"]],
+        ids=["monitor", "attack"],
+    )
+    def test_uncalibrated_quantile_is_a_usage_error(
+        self, trained_detector_path, capsys, monkeypatch, argv
+    ):
+        # Refused before any simulation runs.
+        import repro.cli
+
+        def no_platform(*_args, **_kwargs):
+            raise AssertionError("simulated despite the usage error")
+
+        monkeypatch.setattr(repro.cli, "Platform", no_platform)
+        monkeypatch.setattr(repro.cli, "run_scenario_cached", no_platform)
+        code = main(
+            [*argv, "--detector", str(trained_detector_path), "--quantile", "5"]
+        )
+        captured = capsys.readouterr()
+        assert code == ExitCode.USAGE
+        assert captured.err == (
+            "error: no θ_5.0 calibrated (available: [0.5, 1.0])\n"
+        )
+        assert captured.out == ""
+
     def test_monitor_normal_is_exit_ok(self, trained_detector_path, capsys):
         code = main(
             [
