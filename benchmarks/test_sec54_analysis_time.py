@@ -41,18 +41,24 @@ def _mean_score_time_us(detector, series, samples=1000):
     return (time.perf_counter() - start) / samples * 1e6
 
 
-def _batch_score_time_us(detector, series, samples=1000, repeats=5):
+def _batch_score_times_us(cases, samples=1000, repeats=5):
     """Per-MHM wall time of batched scoring, where the O(L*L') term
-    dominates instead of the Python call overhead."""
-    matrix = series.matrix()
-    tiles = -(-samples // len(matrix))
-    batch = np.tile(matrix, (tiles, 1))[:samples]
-    best = np.inf
+    dominates instead of the Python call overhead, for every
+    ``(detector, series)`` case.  The timed repeats alternate between
+    the cases round by round, so a slow phase of a shared host slows
+    every case alike; each case keeps its best of ``repeats``."""
+    batches = []
+    for detector, series in cases:
+        matrix = series.matrix()
+        tiles = -(-samples // len(matrix))
+        batches.append((detector, np.tile(matrix, (tiles, 1))[:samples]))
+    best = [np.inf] * len(batches)
     for _ in range(repeats):
-        start = time.perf_counter()
-        detector.score_series(batch)
-        best = min(best, time.perf_counter() - start)
-    return best / samples * 1e6
+        for index, (detector, batch) in enumerate(batches):
+            start = time.perf_counter()
+            detector.score_series(batch)
+            best[index] = min(best[index], time.perf_counter() - start)
+    return [seconds / samples * 1e6 for seconds in best]
 
 
 def test_sec54_analysis_time(benchmark, report, paper_artifacts):
@@ -71,20 +77,23 @@ def test_sec54_analysis_time(benchmark, report, paper_artifacts):
     coarse_training = Platform(coarse_config).collect_intervals(400)
     coarse_validation = Platform(coarse_config.with_seed(301)).collect_intervals(200)
 
+    trained = []
+    for _, granularity, num_eigen, _ in configs:
+        if granularity == 2048:
+            training, series = fine_training, fine_validation
+        else:
+            training, series = coarse_training, coarse_validation
+        trained.append((_train(num_eigen, training, series), series))
+    batches = _batch_score_times_us(trained, samples=1000)
+
     rows = []
     measured = {}
-    for label, granularity, num_eigen, paper_us in configs:
-        if granularity == 2048:
-            detector = _train(num_eigen, fine_training, fine_validation)
-            series = fine_validation
-            num_cells = 1472
-        else:
-            detector = _train(num_eigen, coarse_training, coarse_validation)
-            series = coarse_validation
-            num_cells = 368
+    for (label, granularity, num_eigen, paper_us), (detector, series), batch in zip(
+        configs, trained, batches
+    ):
+        num_cells = 1472 if granularity == 2048 else 368
         modelled = model.analysis_time_us(num_cells, num_eigen, 5)
         online = _mean_score_time_us(detector, series, samples=1000)
-        batch = _batch_score_time_us(detector, series, samples=1000)
         measured[label] = batch
         rows.append(
             [
