@@ -29,10 +29,10 @@ from .scenario import ScenarioResult
 from .stages import (
     CONTEXT_STAGE,
     DETECTOR_STAGE,
+    TrainSpec,
     collect_training_data_cached,
     fit_cached,
     run_scenario_cached,
-    training_material,
 )
 from .training import TrainingData
 
@@ -67,6 +67,15 @@ class ExperimentScale:
     @property
     def total_training(self) -> int:
         return self.training_runs * self.intervals_per_run
+
+    def train_spec(self, base_seed: int) -> TrainSpec:
+        """This scale's training set, seeded at ``base_seed``."""
+        return TrainSpec(
+            self.training_runs,
+            self.intervals_per_run,
+            self.validation_intervals,
+            base_seed,
+        )
 
 
 #: Section 5.2/5.3 protocol: 3,000 training MHMs; Figure 7's 500-interval
@@ -123,8 +132,11 @@ def get_reference_artifacts(
     names an :class:`~repro.pipeline.cache.ArtifactCache` so the
     collected traces and both fitted detectors persist (and are shared)
     across processes — a cache-warm call skips both the simulation and
-    the training, with bit-identical results.  Either way the fits run
-    through :func:`~repro.pipeline.stages.fit_cached`.
+    the training, with bit-identical results.  The training set is the
+    scale's :meth:`~ExperimentScale.train_spec` at ``100 + seed``; it is
+    collected once, kept as
+    :attr:`ReferenceArtifacts.data` and handed to both
+    :func:`~repro.pipeline.stages.fit_cached` calls.
     """
     config = config or PlatformConfig()
     # The backend is part of the key: its fits differ in the low bits,
@@ -132,31 +144,18 @@ def get_reference_artifacts(
     key = (scale.name, config, seed, kernels.active_backend())
     if use_cache and key in _ARTIFACT_CACHE:
         return _ARTIFACT_CACHE[key]
-    base_seed = 100 + seed
-    data, _ = collect_training_data_cached(
-        config,
-        runs=scale.training_runs,
-        intervals_per_run=scale.intervals_per_run,
-        validation_intervals=scale.validation_intervals,
-        base_seed=base_seed,
-        cache=cache,
-    )
-    material = training_material(
-        config,
-        scale.training_runs,
-        scale.intervals_per_run,
-        scale.validation_intervals,
-        base_seed,
-    )
+    train = scale.train_spec(base_seed=100 + seed)
+    data, _ = collect_training_data_cached(config, train, cache)
     detector, _ = fit_cached(
         DETECTOR_STAGE,
-        lambda: data,
-        material,
+        config,
+        train,
         {"em_restarts": scale.em_restarts, "seed": seed},
         cache=cache,
+        data=data,
     )
     context_detector, _ = fit_cached(
-        CONTEXT_STAGE, lambda: data, material, {"seed": seed}, cache=cache
+        CONTEXT_STAGE, config, train, {"seed": seed}, cache=cache, data=data
     )
     artifacts = ReferenceArtifacts(
         scale=scale,

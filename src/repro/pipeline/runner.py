@@ -80,11 +80,9 @@ from .stages import (
     DETECTOR_STAGE,
     SCENARIO_STAGE,
     SCENARIOS,
-    TRAINING_STAGE,
-    collect_training_data_cached,
+    TrainSpec,
     fit_cached,
     run_scenario_cached,
-    training_material,
 )
 
 __all__ = [
@@ -103,20 +101,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Job model
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TrainSpec:
-    """The training protocol of one job (mirrors the paper's recipe)."""
-
-    runs: int = 3
-    intervals_per_run: int = 120
-    validation_intervals: int = 120
-    base_seed: int = 100
-
-    @property
-    def total(self) -> int:
-        return self.runs * self.intervals_per_run
-
-
 def _freeze(params: Optional[Mapping]) -> tuple:
     """A mapping as a sorted tuple of pairs (hashable + picklable)."""
     return tuple(sorted(dict(params or {}).items()))
@@ -141,7 +125,6 @@ class ExperimentJob:
     attack_intervals: int = 40
     post_intervals: int = 0
     scenario_seed: int = 999
-    inject_offset_fraction: float = 0.3
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -285,16 +268,7 @@ def build_grid_jobs(
         base_seed, detector_seed = (
             int(word) for word in child.generate_state(2, np.uint32)
         )
-        train = TrainSpec(
-            runs=train_overrides.get("runs", scale.training_runs),
-            intervals_per_run=train_overrides.get(
-                "intervals_per_run", scale.intervals_per_run
-            ),
-            validation_intervals=train_overrides.get(
-                "validation_intervals", scale.validation_intervals
-            ),
-            base_seed=base_seed,
-        )
+        train = replace(scale.train_spec(base_seed), **train_overrides)
         det_params = {
             "em_restarts": scale.em_restarts,
             "seed": detector_seed,
@@ -358,52 +332,25 @@ def run_job(
     hits: Dict[str, int] = {}
     misses: Dict[str, int] = {}
 
-    def record(stage: str, hit: bool) -> None:
+    def record(stage: str, hit: bool, seconds: float) -> None:
+        stage_seconds[stage] = seconds
         if not hit:
             computed.append(stage)
         if cache is not None:
             counts = hits if hit else misses
             counts[stage] = counts.get(stage, 0) + 1
 
-    train = job.train
-    train_mat = training_material(
-        job.config,
-        train.runs,
-        train.intervals_per_run,
-        train.validation_intervals,
-        train.base_seed,
-    )
-
-    data_hit: Dict[str, bool] = {}
-
-    def data_provider():
-        started = time.perf_counter()
-        data, hit = collect_training_data_cached(
-            job.config,
-            runs=train.runs,
-            intervals_per_run=train.intervals_per_run,
-            validation_intervals=train.validation_intervals,
-            base_seed=train.base_seed,
-            cache=cache,
-        )
-        stage_seconds[TRAINING_STAGE] = time.perf_counter() - started
-        data_hit["hit"] = hit
-        return data
-
-    started = time.perf_counter()
     with obs.span(f"runner.stage.{DETECTOR_STAGE}"):
-        detector, detector_hit = fit_cached(
+        detector, stages = fit_cached(
             DETECTOR_STAGE,
-            data_provider,
-            train_mat,
+            job.config,
+            job.train,
             job.detector_kwargs,
             cache=cache,
             fault_token=fault_token,
         )
-    stage_seconds[DETECTOR_STAGE] = time.perf_counter() - started
-    record(DETECTOR_STAGE, detector_hit)
-    if "hit" in data_hit:
-        record(TRAINING_STAGE, data_hit["hit"])
+    for stage, (hit, seconds) in stages.items():
+        record(stage, hit, seconds)
 
     started = time.perf_counter()
     with obs.span(f"runner.stage.{SCENARIO_STAGE}"):
@@ -415,12 +362,10 @@ def run_job(
             attack_intervals=job.attack_intervals,
             post_intervals=job.post_intervals,
             scenario_seed=job.scenario_seed,
-            inject_offset_fraction=job.inject_offset_fraction,
             cache=cache,
             fault_token=fault_token,
         )
-    stage_seconds[SCENARIO_STAGE] = time.perf_counter() - started
-    record(SCENARIO_STAGE, scenario_hit)
+    record(SCENARIO_STAGE, scenario_hit, time.perf_counter() - started)
 
     started = time.perf_counter()
     with obs.span("runner.stage.score"):

@@ -20,7 +20,12 @@ from ..core.series import HeatMapSeries
 from ..obs import span
 from ..sim.platform import Platform
 
-__all__ = ["ScenarioEvent", "ScenarioResult", "ScenarioRunner"]
+__all__ = ["INJECT_OFFSET_FRACTION", "ScenarioEvent", "ScenarioResult", "ScenarioRunner"]
+
+#: Where inside an interval an attack is injected or reverted — the
+#: paper's "some moments after the 250th interval".  The scenario
+#: runner and the fleet's device streams both schedule at this offset.
+INJECT_OFFSET_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,6 @@ class ScenarioRunner:
         pre_intervals: int,
         attack_intervals: int,
         post_intervals: int = 0,
-        inject_offset_fraction: float = 0.3,
     ) -> ScenarioResult:
         """Execute one scenario.
 
@@ -113,14 +117,12 @@ class ScenarioRunner:
             When positive, the attack is reverted after
             ``attack_intervals`` and monitoring continues for this many
             further intervals (requires a reversible attack).
-        inject_offset_fraction:
-            Where inside the interval the injection lands — the paper's
-            "some moments after the 250th interval".
+
+        Injection and revert land :data:`INJECT_OFFSET_FRACTION` of an
+        interval past its boundary.
         """
         if pre_intervals < 0 or attack_intervals < 1 or post_intervals < 0:
             raise ValueError("interval counts out of range")
-        if not 0.0 <= inject_offset_fraction < 1.0:
-            raise ValueError("inject_offset_fraction must be in [0, 1)")
         if post_intervals > 0 and not attack.reversible:
             raise ValueError(
                 f"attack {attack.name!r} is not reversible; "
@@ -128,7 +130,6 @@ class ScenarioRunner:
             )
 
         platform = self.platform
-        interval_ns = platform.config.interval_ns
         start_index = platform.intervals_completed
         archive_start = platform.archived_intervals
         events: list[ScenarioEvent] = []
@@ -136,7 +137,7 @@ class ScenarioRunner:
         with span("scenario.pre"):
             platform.run_intervals(pre_intervals)
 
-        offset = int(inject_offset_fraction * interval_ns)
+        offset = int(INJECT_OFFSET_FRACTION * platform.config.interval_ns)
         inject_at = platform.now + offset
         platform.sim.schedule_at(inject_at, attack.inject, platform)
         events.append(

@@ -6,16 +6,23 @@ attack scenario — are pure functions of ``(configuration, seeds)``.
 This module wraps each of them with optional memoisation in an
 :class:`~repro.pipeline.cache.ArtifactCache`:
 
+* :class:`TrainSpec` — one training set (the Section 5.2 protocol:
+  seeded normal boots plus a held-out validation boot); its
+  :meth:`~TrainSpec.material` is the training stage's cache key
+  material and sits inside every fitted-detector key;
 * :func:`collect_training_data_cached` — normal MHM traces (and the
-  per-interval syscall matrices);
+  per-interval syscall matrices) of a :class:`TrainSpec`;
 * :func:`fit_cached` — one fitted detector per modality: the PCA
   basis + GMM parameters + calibrated thresholds
   (``DETECTOR_STAGE``) or the syscall execution contexts
-  (``CONTEXT_STAGE``), stored via the detector's ``to_arrays``;
+  (``CONTEXT_STAGE``), stored via the detector's ``to_arrays``.  On a
+  fit miss it collects the training data itself, through the cache,
+  unless the caller hands it the data;
 * :func:`run_scenario_cached` — a full attack-scenario MHM series
   with its event timeline.
 
-Every function returns ``(value, hit)`` so callers can report cache
+Every function returns ``(value, hit)`` (:func:`fit_cached` a
+per-stage record in place of ``hit``) so callers can report cache
 effectiveness.  When ``cache`` is ``None`` the plain uncached path
 runs.  On a miss the output is round-tripped through the exact arrays
 that were stored, so cached and freshly-computed results are
@@ -25,7 +32,9 @@ pipeline to that.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Tuple
+import time
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +55,12 @@ from ..learn.contexts import ContextDetector
 from ..learn.detector import MhmDetector
 from ..sim.platform import Platform, PlatformConfig
 from .cache import ArtifactCache
-from .scenario import ScenarioEvent, ScenarioResult, ScenarioRunner
+from .scenario import (
+    INJECT_OFFSET_FRACTION,
+    ScenarioEvent,
+    ScenarioResult,
+    ScenarioRunner,
+)
 from .training import (
     TrainingData,
     collect_training_data,
@@ -65,7 +79,7 @@ __all__ = [
     "series_to_arrays",
     "series_from_arrays",
     "FIT_STAGES",
-    "training_material",
+    "TrainSpec",
     "fit_material",
     "scenario_material",
     "collect_training_data_cached",
@@ -164,24 +178,31 @@ def series_from_arrays(
 # ----------------------------------------------------------------------
 # Cache-key material
 # ----------------------------------------------------------------------
-def training_material(
-    config: PlatformConfig,
-    runs: int,
-    intervals_per_run: int,
-    validation_intervals: int,
-    base_seed: int,
-) -> dict:
-    return {
-        "config": config,
-        "runs": runs,
-        "intervals_per_run": intervals_per_run,
-        "validation_intervals": validation_intervals,
-        "base_seed": base_seed,
-        # Stored-array-set version: entries now carry the per-interval
-        # syscall matrices alongside the MHM series, so pre-capture
-        # cache entries (which lack those arrays) must not be reused.
-        "capture": "syscalls-v1",
-    }
+@dataclass(frozen=True)
+class TrainSpec:
+    """One training set: ``runs`` independently seeded normal boots of
+    ``intervals_per_run`` MHMs plus a held-out validation boot of
+    ``validation_intervals`` (the paper's Section 5.2 protocol), all
+    seeded from ``base_seed``.  Both modalities train on it."""
+
+    runs: int = 3
+    intervals_per_run: int = 120
+    validation_intervals: int = 120
+    base_seed: int = 100
+
+    def material(self, config: PlatformConfig) -> dict:
+        """The training stage's cache-key material on ``config``."""
+        return {
+            "config": config,
+            "runs": self.runs,
+            "intervals_per_run": self.intervals_per_run,
+            "validation_intervals": self.validation_intervals,
+            "base_seed": self.base_seed,
+            # Stored-array-set version: entries now carry the per-interval
+            # syscall matrices alongside the MHM series, so pre-capture
+            # cache entries (which lack those arrays) must not be reused.
+            "capture": "syscalls-v1",
+        }
 
 
 def fit_material(stage: str, train_material: dict, fit_kwargs: Mapping) -> dict:
@@ -212,7 +233,6 @@ def scenario_material(
     attack_intervals: int,
     post_intervals: int,
     scenario_seed: int,
-    inject_offset_fraction: float,
 ) -> dict:
     return {
         "config": config,
@@ -222,7 +242,7 @@ def scenario_material(
         "attack_intervals": attack_intervals,
         "post_intervals": post_intervals,
         "scenario_seed": scenario_seed,
-        "inject_offset_fraction": inject_offset_fraction,
+        "inject_offset_fraction": INJECT_OFFSET_FRACTION,
         "capture": "syscalls-v1",
     }
 
@@ -232,10 +252,7 @@ def scenario_material(
 # ----------------------------------------------------------------------
 def collect_training_data_cached(
     config: PlatformConfig,
-    runs: int,
-    intervals_per_run: int,
-    validation_intervals: int,
-    base_seed: int,
+    train: TrainSpec,
     cache: Optional[ArtifactCache] = None,
 ) -> Tuple[TrainingData, bool]:
     """Collect (or load) the normal training/validation MHM traces."""
@@ -243,10 +260,10 @@ def collect_training_data_cached(
     def collect() -> TrainingData:
         return collect_training_data(
             config,
-            runs=runs,
-            intervals_per_run=intervals_per_run,
-            validation_intervals=validation_intervals,
-            base_seed=base_seed,
+            runs=train.runs,
+            intervals_per_run=train.intervals_per_run,
+            validation_intervals=train.validation_intervals,
+            base_seed=train.base_seed,
         )
 
     if cache is None:
@@ -263,10 +280,7 @@ def collect_training_data_cached(
             "validation_syscalls": data.validation_syscalls,
         }
 
-    material = training_material(
-        config, runs, intervals_per_run, validation_intervals, base_seed
-    )
-    arrays, hit = cache.fetch(TRAINING_STAGE, material, compute)
+    arrays, hit = cache.fetch(TRAINING_STAGE, train.material(config), compute)
     spec = config.spec
     data = TrainingData(
         training=series_from_arrays(arrays, "training", spec),
@@ -284,40 +298,56 @@ def collect_training_data_cached(
 
 def fit_cached(
     stage: str,
-    data_provider: Callable[[], TrainingData],
-    train_material: dict,
+    config: PlatformConfig,
+    train: TrainSpec,
     fit_kwargs: Mapping,
     cache: Optional[ArtifactCache] = None,
     fault_token: str = "-",
+    data: Optional[TrainingData] = None,
 ) -> tuple:
-    """Fit (or load) the detector of ``stage`` (see :data:`FIT_STAGES`).
+    """Fit (or load) the detector of ``stage`` (see :data:`FIT_STAGES`)
+    on the training set ``train`` of ``config``.
 
-    Returns ``(detector, hit)``.  ``data_provider`` is only invoked on
-    a cache miss, so a fitted-detector hit skips the training-data
-    stage entirely.  ``train_material`` identifies the training data
-    (the output of :func:`training_material`); the cache key is
-    :func:`fit_material` over it.
+    Returns ``(detector, stages)``: ``stages`` maps every stage this
+    call entered to ``(hit, seconds)`` — ``stage`` itself first (its
+    seconds cover the whole call), then :data:`TRAINING_STAGE` when a
+    fit miss collected the training data (through ``cache`` when there
+    is one).  A fit hit skips the training-data stage entirely;
+    ``data``, when the caller already holds the training set, is used
+    instead of collecting it.
+    The cache key is :func:`fit_material` over ``train.material``.
 
     Injection site ``stages.fit`` guards the training compute;
     ``fault_token`` should identify the invocation (the runner passes
     ``job-name@attempt`` so retried attempts roll fresh fault
     decisions).
     """
+    started = time.perf_counter()
     fit, detector_class = FIT_STAGES[stage]
     kwargs = dict(fit_kwargs)
+    collected: dict = {}
 
-    def train():
+    def fitted():
         faults.check("stages.fit", token=fault_token)
-        return fit(data_provider(), **kwargs)
+        training = data
+        if training is None:
+            collect_started = time.perf_counter()
+            training, hit = collect_training_data_cached(config, train, cache)
+            collected[TRAINING_STAGE] = (
+                hit, time.perf_counter() - collect_started
+            )
+        return fit(training, **kwargs)
 
     if cache is None:
-        return train(), False
-    arrays, hit = cache.fetch(
-        stage,
-        fit_material(stage, train_material, kwargs),
-        lambda: train().to_arrays(),
-    )
-    return detector_class.from_arrays(arrays), hit
+        detector, hit = fitted(), False
+    else:
+        arrays, hit = cache.fetch(
+            stage,
+            fit_material(stage, train.material(config), kwargs),
+            lambda: fitted().to_arrays(),
+        )
+        detector = detector_class.from_arrays(arrays)
+    return detector, {stage: (hit, time.perf_counter() - started), **collected}
 
 
 def run_scenario_cached(
@@ -328,7 +358,6 @@ def run_scenario_cached(
     attack_intervals: int = 40,
     post_intervals: int = 0,
     scenario_seed: int = 999,
-    inject_offset_fraction: float = 0.3,
     cache: Optional[ArtifactCache] = None,
     fault_token: str = "-",
 ) -> Tuple[ScenarioResult, bool]:
@@ -347,7 +376,6 @@ def run_scenario_cached(
             pre_intervals=pre_intervals,
             attack_intervals=attack_intervals,
             post_intervals=post_intervals,
-            inject_offset_fraction=inject_offset_fraction,
         )
 
     if cache is None:
@@ -381,7 +409,6 @@ def run_scenario_cached(
         attack_intervals,
         post_intervals,
         scenario_seed,
-        inject_offset_fraction,
     )
     arrays, hit = cache.fetch(SCENARIO_STAGE, material, compute)
     result = ScenarioResult(

@@ -4,10 +4,14 @@ A fleet mixes device *profiles* (named platform configurations from
 :mod:`repro.sim.fleet`); every device of a profile shares one
 :class:`MhmDetector` and, for the context-bearing modalities, one
 :class:`ContextDetector`, both trained on that profile's normal
-behaviour.  The registry fits them lazily through the artifact cache
-(:func:`~repro.pipeline.stages.fit_cached`), so repeated serves of the
-same fleet configuration load fitted parameters bit-identically from
-disk instead of re-running EM.
+behaviour.  A profile's training set is one
+:class:`~repro.pipeline.stages.TrainSpec`: the :class:`FleetTrainSpec`
+budget, seeded by a hash of ``(root_seed, profile)``.  The registry
+fits both models lazily on it through the artifact cache
+(:func:`~repro.pipeline.stages.fit_cached`, which collects the training
+set only on a fit miss), so repeated serves of the same fleet
+configuration load fitted parameters bit-identically from disk instead
+of re-running EM.
 
 Shard workers never train: the parent process resolves every needed
 detector once, exports the fitted parameters with
@@ -28,13 +32,7 @@ import numpy as np
 from ..learn.contexts import ContextDetector
 from ..learn.detector import MhmDetector
 from ..pipeline.cache import ArtifactCache
-from ..pipeline.stages import (
-    CONTEXT_STAGE,
-    DETECTOR_STAGE,
-    collect_training_data_cached,
-    fit_cached,
-    training_material,
-)
+from ..pipeline.stages import CONTEXT_STAGE, DETECTOR_STAGE, TrainSpec, fit_cached
 from ..sim.fleet import profile_config
 
 __all__ = ["FleetTrainSpec", "DetectorRegistry"]
@@ -141,14 +139,15 @@ class DetectorRegistry:
     def _fit(self, stage: str, profile: str):
         """The profile's fitted detector of ``stage``, fitted once.
 
-        A training-data fetch runs only when the fit itself misses the
-        cache; each cache hit (fit or training data) counts in
-        :attr:`cache_hits`.
+        The profile trains on one :class:`~repro.pipeline.stages.TrainSpec`
+        (the :class:`FleetTrainSpec` budget at the profile's seeds);
+        :func:`~repro.pipeline.stages.fit_cached` collects it only when
+        the fit itself misses the cache.  Each cache hit (fit or
+        training data) counts in :attr:`cache_hits`.
         """
         fitted = self._fitted.get((stage, profile))
         if fitted is not None:
             return fitted
-        config = profile_config(profile)
         base_seed, detector_seed = _profile_seeds(self.root_seed, profile)
         spec = self.train
         fit_kwargs = {"seed": detector_seed}
@@ -156,24 +155,10 @@ class DetectorRegistry:
             fit_kwargs.update(
                 num_gaussians=spec.num_gaussians, em_restarts=spec.em_restarts
             )
-
-        def data_provider():
-            data, hit = collect_training_data_cached(
-                config,
-                runs=spec.runs,
-                intervals_per_run=spec.intervals_per_run,
-                validation_intervals=spec.validation_intervals,
-                base_seed=base_seed,
-                cache=self.cache,
-            )
-            self.cache_hits += hit
-            return data
-
-        fitted, hit = fit_cached(
+        fitted, stages = fit_cached(
             stage,
-            data_provider,
-            training_material(
-                config,
+            profile_config(profile),
+            TrainSpec(
                 spec.runs,
                 spec.intervals_per_run,
                 spec.validation_intervals,
@@ -183,6 +168,6 @@ class DetectorRegistry:
             cache=self.cache,
             fault_token=f"serve:{profile}",
         )
-        self.cache_hits += hit
+        self.cache_hits += sum(hit for hit, _ in stages.values())
         self._fitted[(stage, profile)] = fitted
         return fitted

@@ -36,6 +36,7 @@ import numpy as np
 
 from .. import obs
 from ..obs.context import TraceContext, trace_args
+from ..pipeline.scenario import INJECT_OFFSET_FRACTION
 from ..pipeline.stages import SCENARIOS, make_attack, scenario_reversible
 from .devices import NetworkDeviceConfig
 from .platform import Platform, PlatformConfig
@@ -101,7 +102,6 @@ class DeviceSpec:
     attack_params: tuple = ()
     inject_interval: Optional[int] = None
     revert_interval: Optional[int] = None
-    inject_offset_fraction: float = 0.3
 
     def __post_init__(self) -> None:
         if self.scenario is not None and self.scenario not in SCENARIOS:
@@ -255,7 +255,7 @@ class DeviceStream:
         """Run one monitoring interval and return its record.
 
         The attack is scheduled "some moments after" the interval
-        boundary (``inject_offset_fraction`` inside the interval),
+        boundary (``INJECT_OFFSET_FRACTION`` inside the interval),
         matching :class:`~repro.pipeline.scenario.ScenarioRunner`.
         The interval is taken out of the platform as it is emitted, so
         a stream's memory does not grow with its length.
@@ -264,9 +264,7 @@ class DeviceStream:
         platform = self.platform
         index = self.emitted
         if self.attack is not None:
-            offset = int(
-                spec.inject_offset_fraction * platform.config.interval_ns
-            )
+            offset = int(INJECT_OFFSET_FRACTION * platform.config.interval_ns)
             if index == spec.inject_interval:
                 platform.sim.schedule_at(
                     platform.now + offset, self.attack.inject, platform

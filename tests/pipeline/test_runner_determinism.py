@@ -169,13 +169,13 @@ class TestTrainingDataRoundTrip:
         """The MHM matrices that come back from the cache equal the
         freshly simulated ones exactly (int64 counts, no quantisation)."""
         config = PlatformConfig(seed=7)
-        kwargs = dict(
+        train = TrainSpec(
             runs=2, intervals_per_run=20, validation_intervals=15, base_seed=300
         )
-        fresh, fresh_hit = collect_training_data_cached(config, **kwargs, cache=None)
+        fresh, fresh_hit = collect_training_data_cached(config, train, cache=None)
         cache = ArtifactCache(tmp_path)
-        cold, cold_hit = collect_training_data_cached(config, **kwargs, cache=cache)
-        warm, warm_hit = collect_training_data_cached(config, **kwargs, cache=cache)
+        cold, cold_hit = collect_training_data_cached(config, train, cache=cache)
+        warm, warm_hit = collect_training_data_cached(config, train, cache=cache)
         assert (fresh_hit, cold_hit, warm_hit) == (False, False, True)
         for data in (cold, warm):
             np.testing.assert_array_equal(

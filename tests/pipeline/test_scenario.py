@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks import AppLaunchAttack, ShellcodeAttack
-from repro.pipeline.scenario import ScenarioRunner
+from repro.pipeline.scenario import INJECT_OFFSET_FRACTION, ScenarioRunner
 from repro.sim.platform import Platform, PlatformConfig
 
 
@@ -49,10 +49,10 @@ class TestRun:
             pre_intervals=4,
             attack_intervals=4,
             post_intervals=2,
-            inject_offset_fraction=0.5,
         )
         inject = result.event("inject")
-        assert inject.time_ns == 4 * interval + interval // 2
+        assert 0 < INJECT_OFFSET_FRACTION < 1
+        assert inject.time_ns == 4 * interval + int(INJECT_OFFSET_FRACTION * interval)
 
     def test_unknown_event_raises(self, runner):
         result = runner.run(ShellcodeAttack(), pre_intervals=2, attack_intervals=2)
@@ -74,13 +74,6 @@ class TestRun:
             runner.run(AppLaunchAttack(), pre_intervals=-1, attack_intervals=5)
         with pytest.raises(ValueError):
             runner.run(AppLaunchAttack(), pre_intervals=1, attack_intervals=0)
-        with pytest.raises(ValueError):
-            runner.run(
-                AppLaunchAttack(),
-                pre_intervals=1,
-                attack_intervals=1,
-                inject_offset_fraction=1.0,
-            )
 
     def test_series_continues_platform_history(self):
         platform = Platform(PlatformConfig(seed=5))
