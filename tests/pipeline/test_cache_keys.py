@@ -6,13 +6,15 @@ turns every warm cache cold (perfbench ``prepare``, CI's cold/warm
 ``repro matrix`` runs).  These pins record the exact keys that
 :func:`run_job`, :func:`get_reference_artifacts` and
 :class:`DetectorRegistry` fetch, per stage, against a cold cache.
-A change that moves one of them must say why.
+A change that moves one of them must say why.  The fitted-detector
+keys include the kernels backend, so the pins run under the default.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.kernels import DEFAULT_BACKEND, use_backend
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.experiments import QUICK_SCALE, get_reference_artifacts
 from repro.pipeline.runner import run_job
@@ -47,7 +49,8 @@ def fetched_keys(monkeypatch):
         return fetch(self, stage, material, compute)
 
     monkeypatch.setattr(ArtifactCache, "fetch", recording_fetch)
-    return keys
+    with use_backend(DEFAULT_BACKEND):
+        yield keys
 
 
 def test_run_job_keys(fetched_keys, tmp_path):
