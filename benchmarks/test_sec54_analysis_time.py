@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.hw.securecore import AnalysisTimingModel
+from repro.kernels.blas_threads import one_blas_thread
 from repro.learn.detector import MhmDetector
 from repro.sim.platform import Platform, PlatformConfig
 
@@ -46,18 +47,22 @@ def _batch_score_times_us(cases, samples=1000, repeats=5):
     dominates instead of the Python call overhead, for every
     ``(detector, series)`` case.  The timed repeats alternate between
     the cases round by round, so a slow phase of a shared host slows
-    every case alike; each case keeps its best of ``repeats``."""
+    every case alike; each case keeps its best of ``repeats``.  They
+    run at one BLAS thread, as the fused scorer does and as the secure
+    core is one core: beside other BLAS work a two-thread call waits on
+    a descheduled peer, a cost that does not scale with L."""
     batches = []
     for detector, series in cases:
         matrix = series.matrix()
         tiles = -(-samples // len(matrix))
         batches.append((detector, np.tile(matrix, (tiles, 1))[:samples]))
     best = [np.inf] * len(batches)
-    for _ in range(repeats):
-        for index, (detector, batch) in enumerate(batches):
-            start = time.perf_counter()
-            detector.score_series(batch)
-            best[index] = min(best[index], time.perf_counter() - start)
+    with one_blas_thread():
+        for _ in range(repeats):
+            for index, (detector, batch) in enumerate(batches):
+                start = time.perf_counter()
+                detector.score_series(batch)
+                best[index] = min(best[index], time.perf_counter() - start)
     return [seconds / samples * 1e6 for seconds in best]
 
 
