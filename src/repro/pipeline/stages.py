@@ -314,8 +314,8 @@ def fit_cached(
     fit miss collected the training data (through ``cache`` when there
     is one).  A fit hit skips the training-data stage entirely;
     ``data``, when the caller already holds the training set, is used
-    instead of collecting it.
-    The cache key is :func:`fit_material` over ``train.material``.
+    instead of collecting it.  The cache key is :func:`fit_material`
+    over ``train.material``.
 
     Injection site ``stages.fit`` guards the training compute;
     ``fault_token`` should identify the invocation (the runner passes
