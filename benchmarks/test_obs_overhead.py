@@ -36,10 +36,10 @@ BURSTS = 1_000
 ACCESSES_PER_BURST = 1_000  # 1e6 accesses total
 REPEATS = 9
 MAX_OVERHEAD = 0.05
-#: Each ``observe_burst`` round times as many passes over the stream as
-#: it takes to last this long on the raw datapath.  One pass is ~15 ms,
-#: and rounds that short swung by several points on a 2-vCPU host, too
-#: much noise to hold a 5% budget.
+#: Each round times as many passes over its workload as it takes to
+#: last this long on the raw datapath.  One ``observe_burst`` pass is
+#: ~15 ms, and rounds that short swung by several points on a 2-vCPU
+#: host, too much noise to hold a 5% budget.
 MIN_ROUND_NS = 60_000_000
 
 REGISTERS = ControlRegisters(
@@ -257,43 +257,58 @@ def _time_once(meter, stream, passes: int = 1) -> int:
     return time.perf_counter_ns() - start
 
 
-def _passes_per_round(stream) -> int:
-    """Passes over ``stream`` that take the raw datapath ``MIN_ROUND_NS``."""
-    one_pass = min(_time_once(RawMemometer(REGISTERS), stream) for _ in range(3))
-    return max(1, -(-MIN_ROUND_NS // one_pass))
-
-
-def _time_footprints_once(meter, intervals) -> int:
+def _time_footprints_once(meter, intervals, passes: int = 1) -> int:
     start = time.perf_counter_ns()
-    for interval in intervals:
-        for footprint, z in interval:
-            meter.defer_footprint(footprint, z)
-        meter.flush_footprints()
+    for _ in range(passes):
+        for interval in intervals:
+            for footprint, z in interval:
+                meter.defer_footprint(footprint, z)
+            meter.flush_footprints()
     return time.perf_counter_ns() - start
 
 
-def _paired_rounds(stream, passes: int = 1):
+def _passes_per_round(time_raw_pass) -> int:
+    """Passes that take the raw datapath ``MIN_ROUND_NS``, given a
+    callable timing one raw pass."""
+    one_pass = min(time_raw_pass() for _ in range(3))
+    return max(1, -(-MIN_ROUND_NS // one_pass))
+
+
+def _alternating_rounds(time_raw, time_instrumented):
     """Per-round (raw, instrumented) wall times, measured back-to-back.
 
     Timing both datapaths inside the same round means they share one
     CPU-frequency/noise window; the per-round *ratio* is therefore far
-    more stable than either absolute time on a busy machine.
+    more stable than either absolute time on a busy machine.  Rounds
+    alternate which side runs first, so a warm-up or slow-down within
+    a round does not always land on the same side.
     """
     rounds = []
-    for _ in range(REPEATS):
-        baseline = _time_once(RawMemometer(REGISTERS), stream, passes)
-        instrumented = _time_once(Memometer(REGISTERS), stream, passes)
+    for round_index in range(REPEATS):
+        if round_index % 2:
+            instrumented = time_instrumented()
+            baseline = time_raw()
+        else:
+            baseline = time_raw()
+            instrumented = time_instrumented()
         rounds.append((baseline, instrumented))
     return rounds
 
 
-def _paired_footprint_rounds(intervals):
-    rounds = []
-    for _ in range(REPEATS):
-        baseline = _time_footprints_once(RawMemometer(KERNEL_REGISTERS), intervals)
-        instrumented = _time_footprints_once(Memometer(KERNEL_REGISTERS), intervals)
-        rounds.append((baseline, instrumented))
-    return rounds
+def _paired_rounds(stream, passes: int = 1):
+    return _alternating_rounds(
+        lambda: _time_once(RawMemometer(REGISTERS), stream, passes),
+        lambda: _time_once(Memometer(REGISTERS), stream, passes),
+    )
+
+
+def _paired_footprint_rounds(intervals, passes: int = 1):
+    return _alternating_rounds(
+        lambda: _time_footprints_once(
+            RawMemometer(KERNEL_REGISTERS), intervals, passes
+        ),
+        lambda: _time_footprints_once(Memometer(KERNEL_REGISTERS), intervals, passes),
+    )
 
 
 def _median_overhead(rounds) -> tuple[float, list]:
@@ -306,7 +321,7 @@ def test_obs_overhead(report):
     stream = _make_stream()
 
     _paired_rounds(stream[:50])  # warm-up both sides
-    passes = _passes_per_round(stream)
+    passes = _passes_per_round(lambda: _time_once(RawMemometer(REGISTERS), stream))
     rounds = _paired_rounds(stream, passes)
 
     overhead, ratios = _median_overhead(rounds)
@@ -338,22 +353,27 @@ def test_obs_overhead_footprint_path(report):
     intervals = _intervals(_make_invocations())
 
     _paired_footprint_rounds(intervals[:15])  # warm-up (and bins) both sides
-    rounds = _paired_footprint_rounds(intervals)
+    passes = _passes_per_round(
+        lambda: _time_footprints_once(RawMemometer(KERNEL_REGISTERS), intervals)
+    )
+    rounds = _paired_footprint_rounds(intervals, passes)
 
     overhead, ratios = _median_overhead(rounds)
     baseline_ns = min(base for base, _ in rounds)
+    invocations = INVOCATIONS * passes
     report.add(
         "Disabled-observability overhead on Memometer.defer_footprint + "
         "flush_footprints",
-        f"(median of {REPEATS} paired rounds, {INVOCATIONS} service invocations "
-        f"in intervals of {INVOCATIONS_PER_INTERVAL} each)",
+        f"(median of {REPEATS} paired rounds, {passes} passes over "
+        f"{INVOCATIONS} service invocations in intervals of "
+        f"{INVOCATIONS_PER_INTERVAL} each)",
         "",
     )
     report.table(
         ["quantity", "value"],
         [
-            ["raw datapath (best)", f"{baseline_ns / 1e6:.1f} ms"],
-            ["per invocation", f"{baseline_ns / INVOCATIONS / 1e3:.2f} us"],
+            ["raw datapath (best round)", f"{baseline_ns / 1e6:.1f} ms"],
+            ["per invocation", f"{baseline_ns / invocations / 1e3:.2f} us"],
             ["median paired overhead", f"{overhead:+.2%}"],
             ["spread", f"{ratios[0] - 1.0:+.2%} .. {ratios[-1] - 1.0:+.2%}"],
             ["budget", f"{MAX_OVERHEAD:.0%}"],

@@ -276,23 +276,6 @@ def _fleet_fixture(n: int, rng):
     )
 
 
-def _fused_call(module, fx: dict):
-    return module.fleet_score_batch(
-        fx["matrix"],
-        fx["mean"],
-        fx["components"],
-        fx["weights"],
-        fx["means"],
-        fx["cholesky_factors"],
-        pad_to=32,
-        syscalls=fx["syscalls"],
-        centers=fx["centers"],
-        scales=fx["scales"],
-        phase_means=fx["phase_means"],
-        phases=fx["phases"],
-    )
-
-
 def _bench_fleet_score(
     n: int, repeats: int, sha: str, rng
 ) -> tuple[BenchResult, dict]:
@@ -304,10 +287,14 @@ def _bench_fleet_score(
     row per interval, so devices-at-10ms = rows/sec x 0.01).
     """
     fx = _fleet_fixture(n, rng)
-    vec = kernels.backend_module("vectorized")
-    ref = kernels.backend_module("reference")
-    vec_s = _time_vectorized(lambda: _fused_call(vec, fx), repeats)
-    ref_s = _time_reference(lambda: _fused_call(ref, fx))
+
+    def fused_call():
+        return kernels.fleet_score_batch(pad_to=32, **fx)
+
+    with kernels.use_backend("vectorized"):
+        vec_s = _time_vectorized(fused_call, repeats)
+    with kernels.use_backend("reference"):
+        ref_s = _time_reference(fused_call)
     rate = n / vec_s if vec_s > 0 else float("inf")
     extras = {
         "batch_rows": n,

@@ -34,9 +34,9 @@ immediately.  ``repro.bench`` times each kernel under both backends
 and records the speedups in ``BENCH_kernels.json``.
 
 The fused fleet-scoring path (:func:`fleet_score_batch` /
-:class:`FleetScorer`) computes in float64 on both backends, so every
-shipped digest comes from one precision; the scalar reference
-backend is its independent oracle.
+:class:`FleetScorer`) is composed here once, from the dispatching
+kernels, and computes in float64 on both backends: under the scalar
+reference backend the same chain is the independent oracle.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "log_density_batch",
     "responsibilities_batch",
     "nearest_context_batch",
+    "context_scores",
     "logsumexp",
     "safe_log_weights",
     "FleetScores",
@@ -262,6 +263,20 @@ def nearest_context_batch(
     return backend_module().nearest_context_batch(matrix, centers)
 
 
+def context_scores(
+    data: np.ndarray, centers: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
+    """Scaled distance to the nearest execution context, per row.
+
+    The second modality's anomaly score: each row's
+    :func:`nearest_context_batch` distance divided by that context's
+    scale.  A zero-scale context scores ``0`` at zero distance and
+    ``inf`` at any positive distance.  Shared by
+    ``ContextDetector.score_series`` and :func:`fleet_score_batch`.
+    """
+    return backend_module().context_scores(data, centers, scales)
+
+
 def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
     """Numerically stable ``log Σ exp`` along ``axis``.
 
@@ -307,10 +322,10 @@ def fleet_score_batch(
 ) -> FleetScores:
     """Score a whole cross-device batch through one fused call.
 
-    Chains eigenmemory projection → GMM mixture log-density and (when
-    the context-model arrays are given) syscall nearest-centroid
-    scoring → phase-residual extraction, without re-entering the
-    dispatch layer between stages.
+    Composes the dispatching kernels: :func:`project_batch` →
+    :func:`log_density_batch` and (when the context-model arrays are
+    given) :func:`context_scores` → phase-residual extraction, each on
+    the active backend.
 
     ``pad_to=None`` scores the batch at its own shape — bit-identical
     to ``detector.score_series`` on the same matrix.  ``pad_to=k``
@@ -331,23 +346,35 @@ def fleet_score_batch(
             np.atleast_2d(np.asarray(syscalls))
         ):
             raise ValueError("phases must align with the syscall batch rows")
-    densities, context_scores, residuals = backend_module().fleet_score_batch(
-        matrix,
-        mean,
-        components,
-        weights,
-        means,
-        cholesky_factors,
-        pad_to=pad_to,
-        syscalls=syscalls,
-        centers=centers,
-        scales=scales,
-        phase_means=phase_means,
-        phases=phases,
-    )
+    if pad_to is None:
+        densities = log_density_batch(
+            project_batch(matrix, mean, components),
+            weights,
+            means,
+            cholesky_factors,
+        )
+    else:
+        densities = np.empty(len(matrix), dtype=np.float64)
+        for start in range(0, len(matrix), pad_to):
+            chunk = matrix[start : start + pad_to]
+            n = len(chunk)
+            padded = np.zeros((pad_to, matrix.shape[1]), dtype=np.float64)
+            padded[:n] = chunk
+            densities[start : start + n] = log_density_batch(
+                project_batch(padded, mean, components),
+                weights,
+                means,
+                cholesky_factors,
+            )[:n]
+    scores = residuals = None
+    if centers is not None:
+        data = np.atleast_2d(np.asarray(syscalls, dtype=np.float64))
+        scores = context_scores(data, centers, scales)
+        if phase_means is not None and phases is not None:
+            residuals = data - np.asarray(phase_means, dtype=np.float64)[phases]
     return FleetScores(
         log_densities=densities,
-        context_scores=context_scores,
+        context_scores=scores,
         context_residuals=residuals,
     )
 

@@ -14,6 +14,11 @@ These implementations are intentionally slow (they are what
 ``repro bench`` reports speedups against) and intentionally obvious.
 Keep them free of NumPy vector tricks: their entire value is being an
 independent second derivation of each kernel.
+
+The fused fleet-scoring chain has no copy here:
+``repro.kernels.fleet_score_batch`` composes these kernels (padding
+its input into ``pad_to``-row chunks on either backend), so under this
+backend the composed chain is the fused path's oracle.
 """
 
 from __future__ import annotations
@@ -146,6 +151,22 @@ def nearest_context_batch(
     return labels, distances
 
 
+def context_scores(
+    data: np.ndarray, centers: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
+    labels, distances = nearest_context_batch(data, centers)
+    scale_list = np.asarray(scales, dtype=np.float64).tolist()
+    scores = np.zeros(len(labels), dtype=np.float64)
+    for n in range(len(labels)):
+        scale = scale_list[int(labels[n])]
+        distance = float(distances[n])
+        if scale > 0:
+            scores[n] = distance / scale
+        elif distance > 0:
+            scores[n] = math.inf
+    return scores
+
+
 def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if axis != 1 or values.ndim != 2:
@@ -205,56 +226,3 @@ def responsibilities_batch(
         for j in range(log_joint.shape[1]):
             responsibilities[n, j] = math.exp(log_joint[n, j] - log_norm[n])
     return log_norm, responsibilities
-
-
-# ----------------------------------------------------------------------
-# Fused fleet scoring
-# ----------------------------------------------------------------------
-def fleet_score_batch(
-    matrix: np.ndarray,
-    mean: np.ndarray,
-    components: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-    *,
-    pad_to: Optional[int] = None,
-    syscalls: Optional[np.ndarray] = None,
-    centers: Optional[np.ndarray] = None,
-    scales: Optional[np.ndarray] = None,
-    phase_means: Optional[np.ndarray] = None,
-    phases: Optional[np.ndarray] = None,
-) -> tuple:
-    """The fused pipeline, recomputed scalar-by-scalar.
-
-    ``pad_to`` is accepted for signature parity and deliberately
-    ignored: every scalar kernel here is row-separable, so zero-padding
-    cannot change any row's result by construction.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    reduced = project_batch(matrix, mean, components)
-    densities = log_density_batch(
-        reduced, weights, means, cholesky_factors
-    )
-    context_scores = None
-    residuals = None
-    if centers is not None:
-        data = np.atleast_2d(np.asarray(syscalls, dtype=np.float64))
-        labels, distances = nearest_context_batch(data, centers)
-        scale_list = np.asarray(scales, dtype=np.float64).tolist()
-        context_scores = np.zeros(len(data), dtype=np.float64)
-        for n in range(len(data)):
-            scale = scale_list[int(labels[n])]
-            distance = float(distances[n])
-            if scale > 0:
-                context_scores[n] = distance / scale
-            elif distance > 0:
-                context_scores[n] = math.inf
-        if phase_means is not None and phases is not None:
-            phase_rows = np.asarray(phase_means, dtype=np.float64).tolist()
-            residuals = np.empty(data.shape, dtype=np.float64)
-            for n, row in enumerate(data.tolist()):
-                phase_mean = phase_rows[int(phases[n])]
-                for d, (value, mu) in enumerate(zip(row, phase_mean)):
-                    residuals[n, d] = value - mu
-    return densities, context_scores, residuals

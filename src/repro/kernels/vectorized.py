@@ -107,6 +107,21 @@ def nearest_context_batch(
     return labels, distances
 
 
+def context_scores(
+    data: np.ndarray, centers: np.ndarray, scales: np.ndarray
+) -> np.ndarray:
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if data.shape[0] == 0:
+        return np.zeros(0, dtype=np.float64)
+    labels, distances = nearest_context_batch(data, centers)
+    row_scales = np.asarray(scales, dtype=np.float64)[labels]
+    scores = np.zeros(len(distances), dtype=np.float64)
+    positive = row_scales > 0
+    np.divide(distances, row_scales, out=scores, where=positive)
+    scores[~positive & (distances > 0)] = np.inf
+    return scores
+
+
 def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     peak = values.max(axis=axis, keepdims=True)
@@ -153,93 +168,3 @@ def responsibilities_batch(
     log_norm = logsumexp(log_joint, axis=1)
     responsibilities = np.exp(log_joint - log_norm[:, np.newaxis])
     return log_norm, responsibilities
-
-
-# ----------------------------------------------------------------------
-# Fused fleet scoring
-# ----------------------------------------------------------------------
-def _fleet_densities(
-    matrix: np.ndarray,
-    mean: np.ndarray,
-    components: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-    pad_to: Optional[int],
-) -> np.ndarray:
-    """Mixture log densities by exactly the op sequence of the historical
-    unfused chain —
-    ``project_batch`` then ``log_density_batch`` per fixed-shape chunk
-    (or once, whole-batch, for ``pad_to=None``) — so results are
-    bit-identical to the pre-fused serving and detect paths.
-    """
-    if pad_to is None:
-        reduced = project_batch(matrix, mean, components)
-        return log_density_batch(reduced, weights, means, cholesky_factors)
-    out = np.empty(len(matrix), dtype=np.float64)
-    for start in range(0, len(matrix), pad_to):
-        chunk = matrix[start : start + pad_to]
-        n = len(chunk)
-        padded = np.zeros((pad_to, matrix.shape[1]), dtype=np.float64)
-        padded[:n] = chunk
-        reduced = project_batch(padded, mean, components)
-        densities = log_density_batch(
-            reduced, weights, means, cholesky_factors
-        )
-        out[start : start + n] = densities[:n]
-    return out
-
-
-def _context_scores(
-    data: np.ndarray, centers: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
-    """Scaled nearest-context scores — the exact op sequence of
-    ``ContextDetector.score_series`` (bit-identical)."""
-    if data.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    labels, distances = nearest_context_batch(data, centers)
-    row_scales = np.asarray(scales, dtype=np.float64)[labels]
-    scores = np.zeros(len(distances), dtype=np.float64)
-    positive = row_scales > 0
-    np.divide(distances, row_scales, out=scores, where=positive)
-    scores[~positive & (distances > 0)] = np.inf
-    return scores
-
-
-def fleet_score_batch(
-    matrix: np.ndarray,
-    mean: np.ndarray,
-    components: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-    *,
-    pad_to: Optional[int] = None,
-    syscalls: Optional[np.ndarray] = None,
-    centers: Optional[np.ndarray] = None,
-    scales: Optional[np.ndarray] = None,
-    phase_means: Optional[np.ndarray] = None,
-    phases: Optional[np.ndarray] = None,
-) -> tuple:
-    """Fused project → GMM log-density → context score → phase
-    residual for one cross-device batch (see the facade docstring).
-    Returns ``(log_densities, context_scores, context_residuals)``.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    densities = _fleet_densities(
-        matrix, mean, components, weights, means, cholesky_factors, pad_to
-    )
-    context_scores = None
-    residuals = None
-    if centers is not None:
-        data = np.atleast_2d(np.asarray(syscalls, dtype=np.float64))
-        context_scores = _context_scores(data, centers, scales)
-        if phase_means is not None and phases is not None:
-            phase_rows = np.asarray(phase_means, dtype=np.float64)[
-                np.asarray(phases, dtype=np.int64)
-            ]
-            # Elementwise row subtraction: bit-identical to the
-            # per-record residual the drift channel historically
-            # computed.
-            residuals = data - phase_rows
-    return densities, context_scores, residuals

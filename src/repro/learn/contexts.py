@@ -34,8 +34,8 @@ for any span, ``|D(t) - D(s)| <= 2 max_t |D(t)|`` by the triangle
 inequality.
 
 Both channels are pure functions of the fitted arrays; scoring runs
-through the :func:`repro.kernels.nearest_context_batch` dispatching
-kernel (vectorized backend with a scalar ``math.fsum`` oracle).
+through the :func:`repro.kernels.context_scores` dispatching kernel
+(vectorized backend with a scalar ``math.fsum`` oracle).
 """
 
 from __future__ import annotations
@@ -263,16 +263,7 @@ class ContextDetector:
     def score_series(self, matrix: np.ndarray) -> np.ndarray:
         """Scaled distance-to-nearest-context score per interval."""
         self._require_fitted()
-        data = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-        if data.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        labels, distances = kernels.nearest_context_batch(data, self.centers_)
-        scales = self.scales_[labels]
-        scores = np.zeros(len(distances), dtype=np.float64)
-        positive = scales > 0
-        np.divide(distances, scales, out=scores, where=positive)
-        scores[~positive & (distances > 0)] = np.inf
-        return scores
+        return kernels.context_scores(matrix, self.centers_, self.scales_)
 
     def threshold(self, p_percent: float) -> float:
         """θ_p in score space (score above θ_p ⇒ anomalous)."""

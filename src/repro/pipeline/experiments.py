@@ -304,21 +304,19 @@ def score_scenario(
 
     Both modalities score together when ``context`` is given.  At
     ``pad_to=None`` the float64 path is bit-identical to
-    ``detector.score_series`` and to the ``context.score_series`` /
-    ``drift_series`` chain, which is what keeps the goldens fixed.
+    ``detector.score_series`` and ``context.score_series``, which is
+    what keeps the goldens fixed; the drift channel is
+    ``context.drift_series`` over the whole replay.
     """
     scorer = kernels.FleetScorer.from_detectors(detector, context)
     thresholds = {q: detector.threshold(q) for q in detector.thresholds.quantiles}
     if context is None:
         scores = scorer.score(result.series.matrix())
         return ScenarioOutcome(result, scores.log_densities, thresholds)
-    interval_indices = np.arange(len(result.syscalls)) + result.start_interval_index
-    scores = scorer.score(
-        result.series.matrix(),
-        syscalls=result.syscalls,
-        interval_indices=interval_indices,
+    scores = scorer.score(result.series.matrix(), syscalls=result.syscalls)
+    drift = context.drift_series(
+        result.syscalls, start_index=result.start_interval_index
     )
-    drift = np.abs(np.cumsum(scores.context_residuals, axis=0))
     return ScenarioOutcome(
         result,
         scores.log_densities,

@@ -340,44 +340,41 @@ def run_job(
             counts = hits if hit else misses
             counts[stage] = counts.get(stage, 0) + 1
 
-    with obs.span(f"runner.stage.{DETECTOR_STAGE}"):
-        detector, stages = fit_cached(
-            DETECTOR_STAGE,
-            job.config,
-            job.train,
-            job.detector_kwargs,
-            cache=cache,
-            fault_token=fault_token,
-        )
+    detector, stages = fit_cached(
+        DETECTOR_STAGE,
+        job.config,
+        job.train,
+        job.detector_kwargs,
+        cache=cache,
+        fault_token=fault_token,
+    )
     for stage, (hit, seconds) in stages.items():
         record(stage, hit, seconds)
 
     started = time.perf_counter()
-    with obs.span(f"runner.stage.{SCENARIO_STAGE}"):
-        result, scenario_hit = run_scenario_cached(
-            job.config,
-            job.scenario,
-            attack_params=dict(job.attack_params),
-            pre_intervals=job.pre_intervals,
-            attack_intervals=job.attack_intervals,
-            post_intervals=job.post_intervals,
-            scenario_seed=job.scenario_seed,
-            cache=cache,
-            fault_token=fault_token,
-        )
+    result, scenario_hit = run_scenario_cached(
+        job.config,
+        job.scenario,
+        attack_params=dict(job.attack_params),
+        pre_intervals=job.pre_intervals,
+        attack_intervals=job.attack_intervals,
+        post_intervals=job.post_intervals,
+        scenario_seed=job.scenario_seed,
+        cache=cache,
+        fault_token=fault_token,
+    )
     record(SCENARIO_STAGE, scenario_hit, time.perf_counter() - started)
 
     started = time.perf_counter()
-    with obs.span("runner.stage.score"):
-        outcome = score_scenario(result, detector)
-        summary = {
-            "name": job.name,
-            **outcome.summary(),
-            # The registry name, not the attack class's own name.
-            "scenario": job.scenario,
-            "num_cells": job.config.spec.num_cells,
-            "num_eigenmemories": detector.num_eigenmemories_,
-        }
+    outcome = score_scenario(result, detector)
+    summary = {
+        "name": job.name,
+        **outcome.summary(),
+        # The registry name, not the attack class's own name.
+        "scenario": job.scenario,
+        "num_cells": job.config.spec.num_cells,
+        "num_eigenmemories": detector.num_eigenmemories_,
+    }
     stage_seconds["score"] = time.perf_counter() - started
 
     return JobResult(

@@ -32,7 +32,14 @@ import numpy as np
 from ..learn.contexts import ContextDetector
 from ..learn.detector import MhmDetector
 from ..pipeline.cache import ArtifactCache
-from ..pipeline.stages import CONTEXT_STAGE, DETECTOR_STAGE, TrainSpec, fit_cached
+from ..pipeline.stages import (
+    CONTEXT_STAGE,
+    DETECTOR_STAGE,
+    TrainSpec,
+    collect_training_data_cached,
+    fit_cached,
+)
+from ..pipeline.training import TrainingData
 from ..sim.fleet import profile_config
 
 __all__ = ["FleetTrainSpec", "DetectorRegistry"]
@@ -83,6 +90,7 @@ class DetectorRegistry:
         self.train = train
         self.cache = cache
         self._fitted: Dict[Tuple[str, str], object] = {}
+        self._training: Dict[str, TrainingData] = {}
         self.cache_hits = 0
 
     def detector_for(self, profile: str) -> MhmDetector:
@@ -142,31 +150,38 @@ class DetectorRegistry:
         The profile trains on one :class:`~repro.pipeline.stages.TrainSpec`
         (the :class:`FleetTrainSpec` budget at the profile's seeds);
         :func:`~repro.pipeline.stages.fit_cached` collects it only when
-        the fit itself misses the cache.  Each cache hit (fit or
-        training data) counts in :attr:`cache_hits`.
+        the fit itself misses the cache.  Without a cache the registry
+        collects it once and hands it to both fit stages.  Each cache
+        hit (fit or training data) counts in :attr:`cache_hits`.
         """
         fitted = self._fitted.get((stage, profile))
         if fitted is not None:
             return fitted
         base_seed, detector_seed = _profile_seeds(self.root_seed, profile)
         spec = self.train
+        config = profile_config(profile)
+        train = TrainSpec(
+            spec.runs, spec.intervals_per_run, spec.validation_intervals, base_seed
+        )
         fit_kwargs = {"seed": detector_seed}
         if stage == DETECTOR_STAGE:
             fit_kwargs.update(
                 num_gaussians=spec.num_gaussians, em_restarts=spec.em_restarts
             )
+        data = None
+        if self.cache is None:
+            data = self._training.get(profile)
+            if data is None:
+                data, _ = collect_training_data_cached(config, train)
+                self._training[profile] = data
         fitted, stages = fit_cached(
             stage,
-            profile_config(profile),
-            TrainSpec(
-                spec.runs,
-                spec.intervals_per_run,
-                spec.validation_intervals,
-                base_seed,
-            ),
+            config,
+            train,
             fit_kwargs,
             cache=self.cache,
             fault_token=f"serve:{profile}",
+            data=data,
         )
         self.cache_hits += sum(hit for hit, _ in stages.values())
         self._fitted[(stage, profile)] = fitted

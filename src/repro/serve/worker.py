@@ -3,18 +3,20 @@
 A :class:`ShardWorker` owns a subset of the fleet's devices and scores
 their interval records in cross-device batches through the fused
 fleet-scoring kernel — one :func:`repro.kernels.fleet_score_batch`
-call per profile group chains projection, GMM density, context
-nearest-centroid scoring and phase-residual extraction over every
-record in the batch, regardless of which device produced it.
+call per profile group composes the projection, GMM density and
+context-score kernels plus the phase-residual extraction over every
+record in the batch, regardless of which device produced it.  The
+drift channel's running cumsum over those residuals stays here,
+per device, because a stream arrives one batch at a time.
 
 **Fixed-shape batching.** BLAS matrix products are not row-separable:
 ``(A[:n] @ B)`` and ``(A @ B)[:n]`` can differ in the last ulp, and
 the difference depends on the batch's *row count*.  Naive cross-device
 batching would therefore make a device's log-densities depend on which
 other records happened to share its batch — breaking the serial ≡
-sharded bit-identity contract.  The worker instead pads every batch to
-a fixed ``batch_pad`` row count with zero rows inside the fused
-kernel call.  At a fixed matrix shape, each row's result is
+sharded bit-identity contract.  The worker instead has the fused
+call pad every batch to a fixed ``batch_pad`` row count with zero
+rows.  At a fixed matrix shape, each row's result is
 independent of the other rows' *contents and order* (verified by the
 serve determinism suite), so every record's score is a pure function
 of its own MHM vector — whatever batch, shard or interleaving it

@@ -204,10 +204,10 @@ class TestCallSites:
     def test_fleet_score_runs_at_one_thread(
         self, monkeypatch, two_threads, quick_artifacts, data
     ):
-        seen = _probe(monkeypatch, "fleet_score_batch")
+        seen = _probe(monkeypatch, "project_batch")
         scorer = kernels.FleetScorer.from_detectors(quick_artifacts.detector)
         scorer.score(data.validation.matrix()[:40], pad_to=32)
-        assert seen and all(set(s.values()) == {1} for s in seen)
+        assert len(seen) == 2 and all(set(s.values()) == {1} for s in seen)
         assert loaded_blas_threads() == two_threads
 
 

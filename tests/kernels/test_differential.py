@@ -243,6 +243,57 @@ class TestGmmKernels:
         np.testing.assert_allclose(vec, ref, atol=ATOL, rtol=0)
 
 
+def _context_case(rng, n, dim=6, num_contexts=4, zero_scales=0):
+    centers = rng.random((num_contexts, dim)) * 30.0
+    scales = rng.random(num_contexts) * 2.0 + 0.25
+    scales[:zero_scales] = 0.0
+    data = rng.integers(0, 40, size=(n, dim)).astype(np.float64)
+    # Some rows sit exactly on a center: zero distance.
+    on_center = rng.random(n) < 0.3
+    data[on_center] = centers[rng.integers(0, num_contexts, on_center.sum())]
+    return data, centers, scales
+
+
+def both_context_scores(data, centers, scales):
+    """``kernels.context_scores`` under each backend: (vectorized, reference)."""
+    scores = []
+    for backend in ("vectorized", "reference"):
+        with kernels.use_backend(backend):
+            scores.append(kernels.context_scores(data, centers, scales))
+    return scores
+
+
+class TestContextScores:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=0, max_value=40),
+        zero_scales=st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, seed, n, zero_scales):
+        rng = np.random.default_rng(seed)
+        data, centers, scales = _context_case(rng, n, zero_scales=zero_scales)
+        vec, ref = both_context_scores(data, centers, scales)
+        assert vec.shape == ref.shape == (n,)
+        np.testing.assert_allclose(vec, ref, atol=ATOL, rtol=0)
+
+    def test_zero_scale_rule(self):
+        """A zero-scale context scores 0 at zero distance and inf at
+        any positive distance; a positive scale divides."""
+        centers = np.array([[0.0, 0.0], [10.0, 10.0]])
+        scales = np.array([0.0, 2.0])
+        data = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 12.0]])
+        for scores in both_context_scores(data, centers, scales):
+            np.testing.assert_array_equal(scores, [0.0, np.inf, 1.0])
+
+    def test_empty_batch(self):
+        centers = np.array([[0.0, 0.0], [10.0, 10.0]])
+        scales = np.array([0.0, 2.0])
+        for scores in both_context_scores(np.empty((0, 2)), centers, scales):
+            assert scores.shape == (0,)
+            assert scores.dtype == np.float64
+
+
 class TestEndToEnd:
     """The whole pipeline, not just the kernels in isolation."""
 

@@ -1,6 +1,7 @@
 """Fused fleet-scoring kernel: differential and padding suite.
 
-Three contracts, each on hypothesis-generated model fixtures:
+Three contracts, each on hypothesis-generated model fixtures, for the
+facade's fused call under each backend:
 
 * **float64 differential** — fused vectorized ≡ the unfused vectorized
   chain bitwise, and ≡ the scalar reference oracle within 1e-9;
@@ -73,6 +74,8 @@ def _fixture(seed, n, collapse_component=False, zero_scale=False):
 
 
 def _fused(module, fx, *, pad_to=None, with_context=True):
+    """The facade's fused call under ``module``'s backend, as a
+    ``(log_densities, context_scores, context_residuals)`` tuple."""
     kwargs = {}
     if with_context:
         kwargs = dict(
@@ -82,16 +85,18 @@ def _fused(module, fx, *, pad_to=None, with_context=True):
             phase_means=fx.phase_means,
             phases=fx.phases,
         )
-    return module.fleet_score_batch(
-        fx.matrix,
-        fx.mean,
-        fx.components,
-        fx.weights,
-        fx.gmm_means,
-        fx.chols,
-        pad_to=pad_to,
-        **kwargs,
-    )
+    with kernels.use_backend(module.__name__.rpartition(".")[2]):
+        scores = kernels.fleet_score_batch(
+            fx.matrix,
+            fx.mean,
+            fx.components,
+            fx.weights,
+            fx.gmm_means,
+            fx.chols,
+            pad_to=pad_to,
+            **kwargs,
+        )
+    return scores.log_densities, scores.context_scores, scores.context_residuals
 
 
 batch_cases = given(
@@ -234,7 +239,7 @@ class TestFacadeValidation:
     def test_rejects_bad_pad_to(self):
         fx = _fixture(1, 2)
         with pytest.raises(ValueError, match="pad_to"):
-            _fused(kernels, fx, pad_to=0, with_context=False)
+            _fused(vectorized, fx, pad_to=0, with_context=False)
 
     def test_rejects_centers_without_syscalls(self):
         fx = _fixture(1, 2)

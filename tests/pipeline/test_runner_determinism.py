@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.pipeline.runner import (
     ExperimentJob,
     ExperimentRunner,
@@ -119,6 +120,21 @@ class TestParallelEquivalence:
                 "scenario",
                 "score",
             }
+
+
+class TestStageTimers:
+    def test_serial_and_parallel_time_each_stage_once_per_job(self):
+        """``ExperimentRunner.run`` is the one recorder of the per-stage
+        timers, whichever process ran the job."""
+        stages = ("training", "detector", "scenario", "score")
+        counts = []
+        for jobs in (1, 2):
+            with obs.observed() as (registry, _):
+                ExperimentRunner(jobs=jobs, use_cache=False).run(_tiny_grid())
+                counts.append(
+                    {s: registry.timer(f"runner.stage.{s}").count for s in stages}
+                )
+        assert counts[0] == counts[1] == dict.fromkeys(stages, 2)
 
 
 class TestCacheEquivalence:

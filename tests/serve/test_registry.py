@@ -2,7 +2,10 @@
 
 import numpy as np
 
+from repro.pipeline import stages
+from repro.pipeline.cache import ArtifactCache
 from repro.serve.registry import DetectorRegistry, FleetTrainSpec, _profile_seeds
+from repro.sim.fleet import PROFILES
 from tests.serve.conftest import TINY_TRAIN
 
 
@@ -37,6 +40,34 @@ class TestRegistry:
     def test_uncached_training_works(self):
         registry = DetectorRegistry(root_seed=3, train=TINY_TRAIN, cache=None)
         assert registry.detector_for("baseline").is_fitted
+
+    def test_uncached_ensemble_collects_each_training_set_once(
+        self, monkeypatch, tmp_path
+    ):
+        """Without a cache both fit stages share one collected training
+        set per profile, and the payload equals a cold-cache one."""
+        calls = []
+        collect = stages.collect_training_data
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["base_seed"])
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(stages, "collect_training_data", counting)
+        profiles = sorted(PROFILES)[:3]
+        uncached = DetectorRegistry(root_seed=5, train=TINY_TRAIN, cache=None)
+        payload = uncached.fleet_payload(profiles, modality="ensemble")
+        assert len(calls) == len(set(calls)) == 3
+        cold = DetectorRegistry(
+            root_seed=5, train=TINY_TRAIN, cache=ArtifactCache(tmp_path)
+        ).fleet_payload(profiles, modality="ensemble")
+        assert payload.keys() == cold.keys()
+        for profile, bundle in payload.items():
+            for model in ("detector", "context"):
+                got, want = bundle[model], cold[profile][model]
+                assert got.keys() == want.keys()
+                for key in got:
+                    np.testing.assert_array_equal(got[key], want[key], strict=True)
 
     def test_payload_round_trip_scores_bit_identically(self, serve_cache, rng):
         registry = DetectorRegistry(root_seed=3, train=TINY_TRAIN, cache=serve_cache)
