@@ -1,8 +1,11 @@
 """Tests for Figueiredo-Jain automatic component selection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.kernels import DEFAULT_BACKEND, use_backend
 from repro.learn.fj import FigueiredoJainGmm
 
 
@@ -75,3 +78,42 @@ class TestScoring:
         assert model.model_.parameters.weights.sum() == pytest.approx(1.0)
         labels = model.model_.predict_component(data)
         assert len(np.unique(labels)) == model.num_components_
+
+
+#: sha256 (first 16 hex digits) of the fitted weights, means,
+#: covariances, message length and ``history_`` per seed, on four
+#: blobs.  A change to how FJ evaluates densities must keep every bit.
+PINNED_FITS = {
+    0: (6, "0c65d2b85e8fb9e4"),
+    1: (5, "d8235a11a459222e"),
+    2: (7, "f9c448e9bf1d86b5"),
+    3: (5, "38854f2cdbc739e7"),
+    4: (6, "52ef8dd9303b8516"),
+    5: (6, "46ce483bfeebc8d8"),
+}
+
+
+def fit_digest(model: FigueiredoJainGmm) -> str:
+    params = model.model_.parameters
+    digest = hashlib.sha256()
+    for array in (
+        params.weights,
+        params.means,
+        params.covariances,
+        np.array([model.message_length_]),
+        np.array(model.history_, dtype=np.float64),
+    ):
+        digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestPinnedFits:
+    @pytest.fixture(scope="class")
+    def data(self):
+        return blobs([[0, 0], [8, 0], [0, 8], [8, 8]], n_per=100, spread=0.6)
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_FITS))
+    def test_fit_is_bit_identical(self, data, seed):
+        with use_backend(DEFAULT_BACKEND):
+            model = FigueiredoJainGmm(max_components=10, seed=seed).fit(data)
+        assert (model.num_components_, fit_digest(model)) == PINNED_FITS[seed]
