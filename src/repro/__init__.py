@@ -17,7 +17,7 @@ Quick start::
     platform = Platform(PlatformConfig(seed=7))
     training = platform.collect_intervals(300)
     detector = MhmDetector().fit(training)
-    verdict = detector.classify(platform.collect_intervals(1)[0])
+    verdict = detector.is_anomalous(platform.collect_intervals(1)[0])
 """
 
 from .core import HeatMapSeries, HeatMapSpec, MemoryHeatMap

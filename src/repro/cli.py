@@ -414,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--check", action="store_true",
         help="exit 5 if any kernel falls below its speedup floor "
-        "(>=3x counting, >=5x GMM scoring, never slower elsewhere)",
+        "(>=3x counting, >=5x GMM log density, >=50x PCA projection, "
+        "reconstruction and EM responsibilities, >=25x fused fleet "
+        "scoring, >=30x end-to-end train/detect, never slower elsewhere)",
     )
     bench.add_argument(
         "--json", action="store_true", help="print the report to stdout too"

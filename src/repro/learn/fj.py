@@ -8,6 +8,11 @@ components' weights to zero, annihilates them, and keeps the model with
 the best message length over the sweep from ``max_components`` down to
 ``min_components``.
 
+The E-step evaluates the mixture through
+``kernels.responsibilities_batch``, the same dispatching kernel as
+:class:`~repro.learn.gmm.GaussianMixtureModel`'s EM, so
+``REPRO_KERNELS=reference`` runs the whole fit on the scalar oracle.
+
 Used by the ablation benchmark A4 to check how the automatic J compares
 with the paper's hand-picked 5 on MHM training data.
 """
@@ -18,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gaussian import mvn_logpdf_from_cholesky, regularized_cholesky
-from .gmm import GaussianMixtureModel, GmmParameters, _logsumexp
+from .. import kernels
+from .gmm import GaussianMixtureModel, GmmParameters, regularized_cholesky
 from .kmeans import kmeans
 
 __all__ = ["FigueiredoJainGmm"]
@@ -148,16 +153,9 @@ class FigueiredoJainGmm:
             if j == 0:
                 return weights, means, covariances, -np.inf
             factors = [regularized_cholesky(c) for c in covariances]
-            log_dens = np.stack(
-                [
-                    mvn_logpdf_from_cholesky(data, means[k], factors[k])
-                    for k in range(j)
-                ],
-                axis=1,
+            log_norm, responsibilities = kernels.responsibilities_batch(
+                data, weights, means, np.array(factors)
             )
-            log_joint = log_dens + np.log(weights)
-            log_norm = _logsumexp(log_joint, axis=1)
-            responsibilities = np.exp(log_joint - log_norm[:, np.newaxis])
             log_likelihood = float(log_norm.sum())
 
             mass = responsibilities.sum(axis=0)

@@ -18,13 +18,22 @@ All density work is done in log space with the log-sum-exp trick, and
 component covariances carry a ridge regulariser so the tight clusters
 of a predictable real-time workload cannot collapse EM.
 
-Density evaluation routes through :mod:`repro.kernels`
-(``log_density_batch`` / ``responsibilities_batch``): the E-step,
-threshold calibration and detector scoring all share one batched
-scoring kernel, and ``REPRO_KERNELS=reference`` swaps in the scalar
-oracle the differential suite compares against.  Collapsed mixture
+Every mixture density in :mod:`repro.learn` routes through
+:mod:`repro.kernels` (``log_density_batch`` /
+``responsibilities_batch``): this module's E-step, the
+Figueiredo–Jain E-step (:mod:`repro.learn.fj`), threshold calibration
+and detector scoring all share one batched scoring kernel, and
+``REPRO_KERNELS=reference`` swaps in the scalar oracle the
+differential suite compares against.  Components are passed as their
+Cholesky factors (:func:`regularized_cholesky`).  Collapsed mixture
 components (zero weight) score as exactly ``-inf`` without tripping
 the divide-by-zero warning that ``make test-fast`` escalates.
+
+Note on the paper's Eq. (2): as printed it omits the inverse on Σ and
+the reciprocal on the normaliser; the kernels implement the standard
+multivariate normal density
+
+    f(x | μ, Σ) = (2π)^{-L/2} |Σ|^{-1/2} exp(-½ (x-μ)ᵀ Σ⁻¹ (x-μ)).
 """
 
 from __future__ import annotations
@@ -35,10 +44,32 @@ from typing import Optional
 import numpy as np
 
 from .. import kernels, obs
-from .gaussian import regularized_cholesky
 from .kmeans import kmeans
 
-__all__ = ["GmmParameters", "GaussianMixtureModel"]
+__all__ = ["GmmParameters", "GaussianMixtureModel", "regularized_cholesky"]
+
+
+def regularized_cholesky(covariance: np.ndarray, ridge: float = 1e-6) -> np.ndarray:
+    """Lower Cholesky factor of ``covariance + ridge·I``.
+
+    If the factorisation still fails (badly conditioned input), the
+    ridge is escalated by powers of ten up to a relative cap before
+    giving up.
+    """
+    covariance = np.asarray(covariance, dtype=np.float64)
+    if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1]:
+        raise ValueError("covariance must be a square matrix")
+    dim = covariance.shape[0]
+    scale = max(1.0, float(np.trace(covariance)) / dim)
+    attempt = ridge * scale
+    for _ in range(12):
+        try:
+            return np.linalg.cholesky(covariance + attempt * np.eye(dim))
+        except np.linalg.LinAlgError:
+            attempt *= 10.0
+    raise np.linalg.LinAlgError(
+        "covariance matrix is not positive definite even after regularisation"
+    )
 
 
 @dataclass
@@ -320,8 +351,3 @@ class GaussianMixtureModel:
             f"D={self.parameters.dimension}, "
             f"ll={self.training_log_likelihood_:.1f})"
         )
-
-
-def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
-    """Numerically stable log Σ exp along ``axis`` (kernels-routed)."""
-    return kernels.logsumexp(values, axis=axis)

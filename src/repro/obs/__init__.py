@@ -91,7 +91,7 @@ from .registry import (
     log_buckets,
 )
 from .snapshots import SnapshotWriter, latest_snapshots, load_snapshots
-from .timing import Timer, span
+from .timing import span
 from .tracer import NOOP_TRACER, TRACE_CATEGORIES, EventTracer, NoopTracer
 
 __all__ = [
@@ -100,7 +100,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "Span",
-    "Timer",
     "span",
     "MetricsRegistry",
     "NoopMetricsRegistry",

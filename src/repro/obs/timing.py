@@ -1,14 +1,10 @@
-"""Wall-clock timing helpers over ``time.perf_counter_ns``.
+"""Wall-clock timing over ``time.perf_counter_ns``.
 
-Two layers:
-
-* :class:`Timer` — a bare stopwatch context manager, independent of
-  any registry (useful in benchmarks and scripts);
-* :func:`span` — times a block into the *current* global metrics
-  registry under a named timer histogram.  The registry is looked up
-  at ``__enter__`` time, so a ``span`` written inside library code is
-  a no-op until observability is enabled and costs one method call
-  thereafter.
+:func:`span` times a block into the *current* global metrics registry
+under a named timer histogram.  The registry is looked up at
+``__enter__`` time, so a ``span`` written inside library code is a
+no-op until observability is enabled and costs one method call
+thereafter.
 
 All durations are reported in microseconds, matching the metric
 convention of :mod:`repro.obs.registry`.
@@ -16,52 +12,7 @@ convention of :mod:`repro.obs.registry`.
 
 from __future__ import annotations
 
-import time
-from typing import Optional
-
-__all__ = ["Timer", "span"]
-
-
-class Timer:
-    """A stopwatch: ``with Timer() as t: ...; t.elapsed_us``."""
-
-    __slots__ = ("_start_ns", "_stop_ns")
-
-    def __init__(self):
-        self._start_ns: Optional[int] = None
-        self._stop_ns: Optional[int] = None
-
-    def start(self) -> "Timer":
-        self._start_ns = time.perf_counter_ns()
-        self._stop_ns = None
-        return self
-
-    def stop(self) -> float:
-        if self._start_ns is None:
-            raise RuntimeError("timer was never started")
-        self._stop_ns = time.perf_counter_ns()
-        return self.elapsed_us
-
-    @property
-    def running(self) -> bool:
-        return self._start_ns is not None and self._stop_ns is None
-
-    @property
-    def elapsed_ns(self) -> int:
-        if self._start_ns is None:
-            return 0
-        end = self._stop_ns if self._stop_ns is not None else time.perf_counter_ns()
-        return end - self._start_ns
-
-    @property
-    def elapsed_us(self) -> float:
-        return self.elapsed_ns / 1_000.0
-
-    def __enter__(self) -> "Timer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+__all__ = ["span"]
 
 
 def span(name: str):

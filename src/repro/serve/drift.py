@@ -27,6 +27,7 @@ from typing import Deque, Dict, Iterable, Optional
 import numpy as np
 
 from .. import obs
+from ..learn.threshold import quantile_threshold
 
 __all__ = ["DriftPolicy", "DriftStatus", "DriftMonitor", "evaluate_drift"]
 
@@ -122,7 +123,7 @@ class DriftMonitor:
         suggested = None
         if drifted:
             # The paper's θ_p calibration, re-run on the field window.
-            suggested = float(np.quantile(values, expected))
+            suggested = quantile_threshold(values, p_percent)
             self._metric_flagged.inc()
             if self._log.enabled:
                 self._log.event(

@@ -24,11 +24,11 @@ true.
 from __future__ import annotations
 
 import json
-from math import ceil
 from pathlib import Path
 from typing import List
 
 from .. import obs
+from .async_exec import emitted_for_cadence
 from .report import FleetReport
 
 __all__ = ["HEALTH_SCHEMA_VERSION", "health_summary", "write_health"]
@@ -45,7 +45,7 @@ def health_summary(report: FleetReport) -> dict:
     # Cadence-aware expectation: a device ticking every c fleet steps
     # emits ⌈intervals / c⌉ records (always intervals when c == 1).
     expected = sum(
-        ceil(report.intervals / max(1, entry.cadence))
+        emitted_for_cadence(report.intervals, entry.cadence)
         for entry in report.device_reports
     )
     checks: List[dict] = [

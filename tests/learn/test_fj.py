@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.kernels import DEFAULT_BACKEND, use_backend
 from repro.learn.fj import FigueiredoJainGmm
 
@@ -117,3 +118,26 @@ class TestPinnedFits:
         with use_backend(DEFAULT_BACKEND):
             model = FigueiredoJainGmm(max_components=10, seed=seed).fit(data)
         assert (model.num_components_, fit_digest(model)) == PINNED_FITS[seed]
+
+
+class TestKernelRouting:
+    def test_e_step_calls_the_active_backend(self, monkeypatch):
+        """Each E-step is one ``responsibilities_batch`` call on the
+        active backend, so the reference backend runs the whole fit."""
+        data = blobs([[0, 0], [10, 0]])
+        for backend in kernels.BACKENDS:
+            module = kernels.backend_module(backend)
+            calls = []
+            original = module.responsibilities_batch
+
+            def probe(*args, _original=original, **kwargs):
+                calls.append(len(args[1]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "responsibilities_batch", probe)
+            with kernels.use_backend(backend):
+                model = FigueiredoJainGmm(
+                    max_components=3, max_iterations=5, seed=0
+                ).fit(data)
+            assert calls and calls[0] == 3
+            assert calls[-1] == model.history_[-1][0]

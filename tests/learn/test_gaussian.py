@@ -1,14 +1,28 @@
-"""Tests for the multivariate Gaussian utilities."""
+"""Tests for the multivariate Gaussian density and its Cholesky factor.
+
+The density is :func:`repro.kernels.component_log_densities`; each
+check runs under both backends, so scipy cross-checks the scalar
+oracle as well as the vectorized path.
+"""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from repro.learn.gaussian import (
-    mvn_logpdf,
-    mvn_logpdf_from_cholesky,
-    regularized_cholesky,
-)
+from repro import kernels
+from repro.learn.gmm import regularized_cholesky
+
+
+def log_densities(x, means, covariances):
+    """``(N, J)`` log densities per backend, keyed by backend name."""
+    factors = np.array([np.linalg.cholesky(c) for c in covariances])
+    results = {}
+    for backend in kernels.BACKENDS:
+        with kernels.use_backend(backend):
+            results[backend] = kernels.component_log_densities(
+                np.atleast_2d(x), np.asarray(means), factors
+            )
+    return results
 
 
 class TestRegularizedCholesky:
@@ -41,7 +55,8 @@ class TestLogPdf:
         cov = np.eye(4) * 2.5
         x = rng.normal(size=(20, 4))
         expected = stats.multivariate_normal(mean=mean, cov=cov).logpdf(x)
-        np.testing.assert_allclose(mvn_logpdf(x, mean, cov), expected, atol=1e-8)
+        for values in log_densities(x, [mean], [cov]).values():
+            np.testing.assert_allclose(values[:, 0], expected, atol=1e-8)
 
     def test_matches_scipy_full_covariance(self):
         rng = np.random.default_rng(1)
@@ -50,31 +65,38 @@ class TestLogPdf:
         cov = a @ a.T + 0.5 * np.eye(3)
         x = rng.normal(size=(50, 3))
         expected = stats.multivariate_normal(mean=mean, cov=cov).logpdf(x)
-        np.testing.assert_allclose(mvn_logpdf(x, mean, cov), expected, atol=1e-7)
+        for values in log_densities(x, [mean], [cov]).values():
+            np.testing.assert_allclose(values[:, 0], expected, atol=1e-7)
 
     def test_single_point(self):
-        value = mvn_logpdf(np.zeros(2), np.zeros(2), np.eye(2))
         expected = -np.log(2 * np.pi)  # standard normal at the mean
-        np.testing.assert_allclose(value, [expected])
+        for values in log_densities(np.zeros(2), [np.zeros(2)], [np.eye(2)]).values():
+            np.testing.assert_allclose(values, [[expected]])
 
     def test_density_maximised_at_mean(self):
         mean = np.array([1.0, -2.0])
         cov = np.diag([0.5, 2.0])
-        at_mean = mvn_logpdf(mean, mean, cov)[0]
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            elsewhere = mean + rng.normal(size=2)
-            assert mvn_logpdf(elsewhere, mean, cov)[0] <= at_mean
+        points = np.vstack([mean, mean + rng.normal(size=(20, 2))])
+        for values in log_densities(points, [mean], [cov]).values():
+            assert (values[1:, 0] <= values[0, 0]).all()
 
     def test_cholesky_variant_consistent(self):
+        """Each column of a multi-component call is that component's
+        scipy density."""
         rng = np.random.default_rng(3)
-        mean = rng.normal(size=3)
-        a = rng.normal(size=(3, 3))
-        cov = a @ a.T + np.eye(3)
+        means = rng.normal(size=(3, 3))
+        covariances = []
+        for _ in range(3):
+            a = rng.normal(size=(3, 3))
+            covariances.append(a @ a.T + np.eye(3))
         x = rng.normal(size=(10, 3))
-        factor = np.linalg.cholesky(cov)
-        np.testing.assert_allclose(
-            mvn_logpdf_from_cholesky(x, mean, factor),
-            stats.multivariate_normal(mean=mean, cov=cov).logpdf(x),
-            atol=1e-8,
+        expected = np.stack(
+            [
+                stats.multivariate_normal(mean=m, cov=c).logpdf(x)
+                for m, c in zip(means, covariances)
+            ],
+            axis=1,
         )
+        for values in log_densities(x, means, covariances).values():
+            np.testing.assert_allclose(values, expected, atol=1e-8)

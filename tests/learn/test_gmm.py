@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.learn.gmm import GaussianMixtureModel, GmmParameters
 
@@ -149,14 +150,14 @@ class TestScoring:
 
     def test_eq2_weighted_sum(self, fitted):
         """Pr(M) = sum_j lambda_j f(M | mu_j, Sigma_j) (paper Eq. 2)."""
-        from repro.learn.gaussian import mvn_logpdf
-
         model, data = fitted
         params = model.parameters
         point = data[0]
         manual = sum(
             params.weights[j]
-            * np.exp(mvn_logpdf(point, params.means[j], params.covariances[j])[0])
+            * stats.multivariate_normal(
+                mean=params.means[j], cov=params.covariances[j]
+            ).pdf(point)
             for j in range(3)
         )
         np.testing.assert_allclose(

@@ -68,6 +68,16 @@ class TestParser:
             build_parser().parse_args(["monitor"])  # missing --detector
         assert excinfo.value.code == 2
 
+    def test_bench_check_help_names_every_speedup_floor(self, capsys):
+        from repro.bench import DEFAULT_SPEEDUP_FLOOR, SPEEDUP_FLOORS
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for floor in SPEEDUP_FLOORS.values():
+            assert f">={floor:g}x" in text
+        assert DEFAULT_SPEEDUP_FLOOR == 1.0 and "never slower elsewhere" in text
+
 
 class TestCommands:
     def test_train_writes_detector(self, trained_detector_path, capsys):
