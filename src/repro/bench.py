@@ -1,8 +1,8 @@
 """Kernel benchmark harness — the repo's machine-readable perf trajectory.
 
-``repro bench`` times every hot-path kernel under both
-:mod:`repro.kernels` backends plus a small end-to-end train/detect
-pipeline, and writes ``BENCH_kernels.json``: one entry per kernel with
+``repro bench`` times every hot-path kernel through the
+:mod:`repro.kernels` facade under each backend, at one BLAS thread,
+plus a small end-to-end train/detect pipeline, and writes ``BENCH_kernels.json``: one entry per kernel with
 ``kernel, n, wall_s, speedup_vs_reference, git_sha``.  Subsequent PRs
 regress against this file — CI's ``bench-smoke`` job runs
 ``repro bench --smoke --check`` and fails when the vectorized backend
@@ -28,6 +28,7 @@ comparable across runs on similar hardware.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import time
@@ -38,6 +39,7 @@ import numpy as np
 
 from . import kernels
 from .core.spec import HeatMapSpec
+from .kernels.blas_threads import one_blas_thread
 from .learn.detector import MhmDetector
 from .pipeline.training import collect_training_data
 from .sim.platform import PlatformConfig
@@ -124,6 +126,21 @@ def _time_reference(fn: Callable[[], object]) -> float:
     return time.perf_counter() - start
 
 
+def _time_backends(fn: Callable[[], object], repeats: int) -> tuple[float, float]:
+    """``(vectorized_s, reference_s)``: ``fn`` timed under each backend.
+
+    Both timings run at one BLAS thread: the benched batches are small,
+    and on a 2-vCPU host a second OpenBLAS thread now and then stalled
+    a ~0.3 ms call for ~40 ms, far below its speedup floor.
+    """
+    with one_blas_thread():
+        with kernels.use_backend("vectorized"):
+            vectorized_s = _time_vectorized(fn, repeats)
+        with kernels.use_backend("reference"):
+            reference_s = _time_reference(fn)
+    return vectorized_s, reference_s
+
+
 def _result(
     kernel: str,
     n: int,
@@ -146,31 +163,6 @@ def _result(
 # ----------------------------------------------------------------------
 # Individual kernel benches
 # ----------------------------------------------------------------------
-def _bench_count_cells(n: int, repeats: int, sha: str, rng) -> BenchResult:
-    burst = synthetic_burst(
-        rng,
-        n,
-        base_address=PAPER_SPEC.base_address,
-        region_size=PAPER_SPEC.region_size,
-        in_region_fraction=0.95,
-    )
-    kwargs = dict(
-        base_address=PAPER_SPEC.base_address,
-        region_size=PAPER_SPEC.region_size,
-        shift=PAPER_SPEC.shift,
-        num_cells=PAPER_SPEC.num_cells,
-    )
-    vec = kernels.backend_module("vectorized")
-    ref = kernels.backend_module("reference")
-    vec_s = _time_vectorized(
-        lambda: vec.count_cells(burst.addresses, burst.weights, **kwargs), repeats
-    )
-    ref_s = _time_reference(
-        lambda: ref.count_cells(burst.addresses, burst.weights, **kwargs)
-    )
-    return _result("count_cells", n, vec_s, ref_s, sha)
-
-
 def _pca_fixture(n: int, rng):
     num_cells = PAPER_SPEC.num_cells
     rank = 9  # the paper keeps 9 eigenmemories
@@ -180,30 +172,6 @@ def _pca_fixture(n: int, rng):
     matrix = mean + rng.standard_normal((n, num_cells)) * 100.0
     weights = rng.standard_normal((n, rank)) * 50.0
     return matrix, mean, components, weights
-
-
-def _bench_project(n: int, repeats: int, sha: str, rng) -> BenchResult:
-    matrix, mean, components, _ = _pca_fixture(n, rng)
-    vec = kernels.backend_module("vectorized")
-    ref = kernels.backend_module("reference")
-    vec_s = _time_vectorized(
-        lambda: vec.project_batch(matrix, mean, components), repeats
-    )
-    ref_s = _time_reference(lambda: ref.project_batch(matrix, mean, components))
-    return _result("project_batch", n, vec_s, ref_s, sha)
-
-
-def _bench_reconstruct(n: int, repeats: int, sha: str, rng) -> BenchResult:
-    _, mean, components, weights = _pca_fixture(n, rng)
-    vec = kernels.backend_module("vectorized")
-    ref = kernels.backend_module("reference")
-    vec_s = _time_vectorized(
-        lambda: vec.reconstruct_batch(weights, mean, components), repeats
-    )
-    ref_s = _time_reference(
-        lambda: ref.reconstruct_batch(weights, mean, components)
-    )
-    return _result("reconstruct_batch", n, vec_s, ref_s, sha)
 
 
 def _gmm_fixture(n: int, rng):
@@ -217,30 +185,41 @@ def _gmm_fixture(n: int, rng):
     return data, weights, means, cholesky_factors
 
 
-def _bench_log_density(n: int, repeats: int, sha: str, rng) -> BenchResult:
-    data, weights, means, chols = _gmm_fixture(n, rng)
-    vec = kernels.backend_module("vectorized")
-    ref = kernels.backend_module("reference")
-    vec_s = _time_vectorized(
-        lambda: vec.log_density_batch(data, weights, means, chols), repeats
+def _kernel_calls(sizes: dict, rng):
+    """``(kernel, n, call)`` per single-kernel row, in report order:
+    ``call`` runs the facade's ``kernel`` on that row's fixture."""
+    n = sizes["count_cells"]
+    burst = synthetic_burst(
+        rng,
+        n,
+        base_address=PAPER_SPEC.base_address,
+        region_size=PAPER_SPEC.region_size,
+        in_region_fraction=0.95,
     )
-    ref_s = _time_reference(
-        lambda: ref.log_density_batch(data, weights, means, chols)
+    yield "count_cells", n, functools.partial(
+        kernels.count_cells,
+        burst.addresses,
+        burst.weights,
+        base_address=PAPER_SPEC.base_address,
+        region_size=PAPER_SPEC.region_size,
+        shift=PAPER_SPEC.shift,
+        num_cells=PAPER_SPEC.num_cells,
     )
-    return _result("log_density_batch", n, vec_s, ref_s, sha)
-
-
-def _bench_responsibilities(n: int, repeats: int, sha: str, rng) -> BenchResult:
-    data, weights, means, chols = _gmm_fixture(n, rng)
-    vec = kernels.backend_module("vectorized")
-    ref = kernels.backend_module("reference")
-    vec_s = _time_vectorized(
-        lambda: vec.responsibilities_batch(data, weights, means, chols), repeats
+    n = sizes["project_batch"]
+    matrix, mean, components, _ = _pca_fixture(n, rng)
+    yield "project_batch", n, functools.partial(
+        kernels.project_batch, matrix, mean, components
     )
-    ref_s = _time_reference(
-        lambda: ref.responsibilities_batch(data, weights, means, chols)
+    n = sizes["reconstruct_batch"]
+    _, mean, components, weights = _pca_fixture(n, rng)
+    yield "reconstruct_batch", n, functools.partial(
+        kernels.reconstruct_batch, weights, mean, components
     )
-    return _result("responsibilities_batch", n, vec_s, ref_s, sha)
+    for name in ("log_density_batch", "responsibilities_batch"):
+        n = sizes[name]
+        yield name, n, functools.partial(
+            getattr(kernels, name), *_gmm_fixture(n, rng)
+        )
 
 
 def _context_fixture(rng, syscall_dim: int = 12, num_contexts: int = 8,
@@ -291,10 +270,7 @@ def _bench_fleet_score(
     def fused_call():
         return kernels.fleet_score_batch(pad_to=32, **fx)
 
-    with kernels.use_backend("vectorized"):
-        vec_s = _time_vectorized(fused_call, repeats)
-    with kernels.use_backend("reference"):
-        ref_s = _time_reference(fused_call)
+    vec_s, ref_s = _time_backends(fused_call, repeats)
     rate = n / vec_s if vec_s > 0 else float("inf")
     extras = {
         "batch_rows": n,
@@ -360,10 +336,7 @@ def _bench_end_to_end(smoke: bool, sha: str, seed: int) -> BenchResult:
             scores.log_densities, p_percent=1.0
         )
 
-    with kernels.use_backend("vectorized"):
-        vec_s = _time_vectorized(train_and_detect, repeats=1)
-    with kernels.use_backend("reference"):
-        ref_s = _time_reference(train_and_detect)
+    vec_s, ref_s = _time_backends(train_and_detect, repeats=1)
     total_rows = data.num_training + len(fleet_matrix)
     return _result("train_detect_e2e", total_rows, vec_s, ref_s, sha)
 
@@ -394,14 +367,10 @@ def run_benchmarks(
         sizes["fleet_score_batch"], repeats, sha, rng
     )
     results = [
-        _bench_count_cells(sizes["count_cells"], repeats, sha, rng),
-        _bench_project(sizes["project_batch"], repeats, sha, rng),
-        _bench_reconstruct(sizes["reconstruct_batch"], repeats, sha, rng),
-        _bench_log_density(sizes["log_density_batch"], repeats, sha, rng),
-        _bench_responsibilities(sizes["responsibilities_batch"], repeats, sha, rng),
-        fleet_result,
-        _bench_end_to_end(smoke, sha, seed),
+        _result(name, n, *_time_backends(call, repeats), sha)
+        for name, n, call in _kernel_calls(sizes, rng)
     ]
+    results += [fleet_result, _bench_end_to_end(smoke, sha, seed)]
     return results, {"fleet_throughput": fleet_extras}
 
 

@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .. import kernels
 from .spec import HeatMapSpec
 
 __all__ = ["MemoryHeatMap"]
@@ -82,6 +83,9 @@ class MemoryHeatMap:
     ) -> int:
         """Vectorised recording of a burst of addresses.
 
+        Counts through :func:`repro.kernels.count_cells`, the Memometer's
+        Section 3.1 filter/shift datapath.
+
         Parameters
         ----------
         addresses:
@@ -96,25 +100,22 @@ class MemoryHeatMap:
             accepted weights).
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        indices, in_region = self.spec.cell_indices(addresses)
-        if weights is None:
-            accepted = int(in_region.sum())
-            if accepted:
-                self.counts += np.bincount(
-                    indices, minlength=self.spec.num_cells
-                ).astype(np.int64)
-            return accepted
-        weights = np.asarray(weights, dtype=np.int64)
-        if weights.shape != addresses.shape:
-            raise ValueError("weights must match addresses in shape")
-        if (weights < 0).any():
-            raise ValueError("weights must be non-negative")
-        kept = weights[in_region]
-        if kept.size:
-            self.counts += np.bincount(
-                indices, weights=kept, minlength=self.spec.num_cells
-            ).astype(np.int64)
-        return int(kept.sum())
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.int64)
+            if weights.shape != addresses.shape:
+                raise ValueError("weights must match addresses in shape")
+            if (weights < 0).any():
+                raise ValueError("weights must be non-negative")
+        counts, accepted = kernels.count_cells(
+            addresses,
+            weights,
+            base_address=self.spec.base_address,
+            region_size=self.spec.region_size,
+            shift=self.spec.shift,
+            num_cells=self.spec.num_cells,
+        )
+        self.counts += counts
+        return accepted
 
     def record_range(self, start_address: int, length: int, stride: int = 4) -> int:
         """Record a linear sweep of fetches over ``[start, start+length)``.

@@ -12,17 +12,16 @@ Calculation") computes the target cell of a snooped address ``Addr*`` as::
     0 <= offset < S                    # (ii) otherwise drop
     idx = offset >> g,  g = log2(delta)  # (iii)
 
-:class:`HeatMapSpec` is the single source of truth for that arithmetic;
-both the software heat map (:mod:`repro.core.mhm`) and the Memometer
-hardware model (:mod:`repro.hw.memometer`) delegate to it so the two can
-never disagree.
+:class:`HeatMapSpec` is the single source of truth for that arithmetic's
+parameters.  Both the software heat map (:mod:`repro.core.mhm`) and the
+Memometer hardware model (:mod:`repro.hw.memometer`) count whole bursts
+with them through :func:`repro.kernels.count_cells`, so the two can never
+disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["HeatMapSpec"]
 
@@ -107,8 +106,8 @@ class HeatMapSpec:
         ValueError
             If the address is outside the monitored region.  The hardware
             silently drops such addresses; callers that want that
-            behaviour should test :meth:`contains` first (or use the
-            vectorised :meth:`cell_indices`).
+            behaviour should test :meth:`contains` first (or count a
+            whole burst with :func:`repro.kernels.count_cells`).
         """
         offset = address - self.base_address
         if not 0 <= offset < self.region_size:
@@ -117,27 +116,6 @@ class HeatMapSpec:
                 f"[{self.base_address:#x}, {self.end_address:#x})"
             )
         return offset >> self.shift
-
-    def cell_indices(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised address filter + cell calculation.
-
-        Parameters
-        ----------
-        addresses:
-            Integer array of snooped addresses.
-
-        Returns
-        -------
-        (indices, in_region):
-            ``in_region`` is a boolean mask of addresses that passed the
-            filter; ``indices`` holds the cell index of each *accepted*
-            address (``len(indices) == in_region.sum()``).
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        offsets = addresses - self.base_address
-        in_region = (offsets >= 0) & (offsets < self.region_size)
-        indices = offsets[in_region] >> self.shift
-        return indices, in_region
 
     def cell_start(self, index: int) -> int:
         """First address covered by cell ``index``."""

@@ -29,14 +29,19 @@ Select the backend with the ``REPRO_KERNELS`` environment variable
     with kernels.use_backend("reference"):  # scoped
         ...
 
-Every public kernel dispatches per call, so a switch takes effect
-immediately.  ``repro.bench`` times each kernel under both backends
-and records the speedups in ``BENCH_kernels.json``.
-
-The fused fleet-scoring path (:func:`fleet_score_batch` /
-:class:`FleetScorer`) is composed here once, from the dispatching
-kernels, and computes in float64 on both backends: under the scalar
-reference backend the same chain is the independent oracle.
+Each backend implements only the primitives — :func:`count_cells`,
+:func:`project_batch`, :func:`reconstruct_batch`,
+:func:`component_log_densities`, :func:`nearest_context_batch` and
+:func:`logsumexp` — and every primitive dispatches per call, so a
+switch takes effect immediately.  The derived kernels
+(:func:`log_density_batch`, :func:`responsibilities_batch`,
+:func:`context_scores`) and the fused fleet-scoring path
+(:func:`fleet_score_batch` / :class:`FleetScorer`) are composed here
+once, from the dispatching primitives, and compute in float64 on both
+backends: under the scalar reference backend the same compositions are
+the independent oracle.  ``repro.bench`` times each kernel through this
+facade under both backends and records the speedups in
+``BENCH_kernels.json``.
 """
 
 from __future__ import annotations
@@ -215,37 +220,6 @@ def component_log_densities(
     return backend_module().component_log_densities(data, means, cholesky_factors)
 
 
-def log_density_batch(
-    data: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-) -> np.ndarray:
-    """GMM mixture log density ``ln Pr(M)`` for N samples in one pass.
-
-    Shared by EM's likelihood evaluation, threshold calibration and
-    ``MhmDetector`` scoring (paper Eq. 2, evaluated in log space with
-    the log-sum-exp trick).
-    """
-    return backend_module().log_density_batch(data, weights, means, cholesky_factors)
-
-
-def responsibilities_batch(
-    data: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-) -> tuple:
-    """EM E-step: ``(log_norm, responsibilities)`` for N samples.
-
-    ``log_norm`` is the per-sample mixture log density (shape ``(N,)``)
-    and ``responsibilities`` the ``(N, J)`` posterior memberships.
-    """
-    return backend_module().responsibilities_batch(
-        data, weights, means, cholesky_factors
-    )
-
-
 def nearest_context_batch(
     matrix: np.ndarray, centers: np.ndarray
 ) -> tuple:
@@ -263,6 +237,56 @@ def nearest_context_batch(
     return backend_module().nearest_context_batch(matrix, centers)
 
 
+def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Numerically stable ``log Σ exp`` along ``axis``.
+
+    All-``-inf`` rows reduce to ``-inf`` without warnings; widely
+    separated finite values never overflow.
+    """
+    return backend_module().logsumexp(values, axis=axis)
+
+
+# ----------------------------------------------------------------------
+# Compositions of the dispatching primitives
+# ----------------------------------------------------------------------
+def _log_joint(data, weights, means, cholesky_factors) -> np.ndarray:
+    """``(N, J)`` log of ``λ_j · N(x_n; μ_j, Σ_j)``: Eq. 2's summands."""
+    return component_log_densities(data, means, cholesky_factors) + safe_log_weights(
+        weights
+    )
+
+
+def log_density_batch(
+    data: np.ndarray,
+    weights: np.ndarray,
+    means: np.ndarray,
+    cholesky_factors: np.ndarray,
+) -> np.ndarray:
+    """GMM mixture log density ``ln Pr(M)`` for N samples in one pass.
+
+    Shared by EM's likelihood evaluation, threshold calibration and
+    ``MhmDetector`` scoring (paper Eq. 2, evaluated in log space with
+    the log-sum-exp trick).
+    """
+    return logsumexp(_log_joint(data, weights, means, cholesky_factors), axis=1)
+
+
+def responsibilities_batch(
+    data: np.ndarray,
+    weights: np.ndarray,
+    means: np.ndarray,
+    cholesky_factors: np.ndarray,
+) -> tuple:
+    """EM E-step: ``(log_norm, responsibilities)`` for N samples.
+
+    ``log_norm`` is the per-sample mixture log density (shape ``(N,)``)
+    and ``responsibilities`` the ``(N, J)`` posterior memberships.
+    """
+    log_joint = _log_joint(data, weights, means, cholesky_factors)
+    log_norm = logsumexp(log_joint, axis=1)
+    return log_norm, np.exp(log_joint - log_norm[:, np.newaxis])
+
+
 def context_scores(
     data: np.ndarray, centers: np.ndarray, scales: np.ndarray
 ) -> np.ndarray:
@@ -274,16 +298,16 @@ def context_scores(
     ``inf`` at any positive distance.  Shared by
     ``ContextDetector.score_series`` and :func:`fleet_score_batch`.
     """
-    return backend_module().context_scores(data, centers, scales)
-
-
-def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Numerically stable ``log Σ exp`` along ``axis``.
-
-    All-``-inf`` rows reduce to ``-inf`` without warnings; widely
-    separated finite values never overflow.
-    """
-    return backend_module().logsumexp(values, axis=axis)
+    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if data.shape[0] == 0:
+        return np.zeros(0, dtype=np.float64)
+    labels, distances = nearest_context_batch(data, centers)
+    row_scales = np.asarray(scales, dtype=np.float64)[labels]
+    scores = np.zeros(len(distances), dtype=np.float64)
+    positive = row_scales > 0
+    np.divide(distances, row_scales, out=scores, where=positive)
+    scores[~positive & (distances > 0)] = np.inf
+    return scores
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,12 @@ These implementations are intentionally slow (they are what
 Keep them free of NumPy vector tricks: their entire value is being an
 independent second derivation of each kernel.
 
-The fused fleet-scoring chain has no copy here:
-``repro.kernels.fleet_score_batch`` composes these kernels (padding
-its input into ``pad_to``-row chunks on either backend), so under this
-backend the composed chain is the fused path's oracle.
+The kernels composed from these primitives have no copy here:
+``log_density_batch``, ``responsibilities_batch``, ``context_scores``
+and the fused ``fleet_score_batch`` (which pads its input into
+``pad_to``-row chunks on either backend) are each written once in
+:mod:`repro.kernels`.  Under this backend they run on these scalar
+primitives, and that run is the oracle for the vectorized one.
 """
 
 from __future__ import annotations
@@ -151,22 +153,6 @@ def nearest_context_batch(
     return labels, distances
 
 
-def context_scores(
-    data: np.ndarray, centers: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
-    labels, distances = nearest_context_batch(data, centers)
-    scale_list = np.asarray(scales, dtype=np.float64).tolist()
-    scores = np.zeros(len(labels), dtype=np.float64)
-    for n in range(len(labels)):
-        scale = scale_list[int(labels[n])]
-        distance = float(distances[n])
-        if scale > 0:
-            scores[n] = distance / scale
-        elif distance > 0:
-            scores[n] = math.inf
-    return scores
-
-
 def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if axis != 1 or values.ndim != 2:
@@ -190,39 +176,3 @@ def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
         )
     return out
 
-
-def _log_joint(
-    data: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-) -> np.ndarray:
-    from . import safe_log_weights
-
-    return component_log_densities(data, means, cholesky_factors) + safe_log_weights(
-        weights
-    )
-
-
-def log_density_batch(
-    data: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-) -> np.ndarray:
-    return logsumexp(_log_joint(data, weights, means, cholesky_factors), axis=1)
-
-
-def responsibilities_batch(
-    data: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    log_joint = _log_joint(data, weights, means, cholesky_factors)
-    log_norm = logsumexp(log_joint, axis=1)
-    responsibilities = np.empty_like(log_joint)
-    for n in range(log_joint.shape[0]):
-        for j in range(log_joint.shape[1]):
-            responsibilities[n, j] = math.exp(log_joint[n, j] - log_norm[n])
-    return log_norm, responsibilities

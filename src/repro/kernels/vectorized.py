@@ -1,8 +1,10 @@
-"""Batched NumPy implementations of the hot-path kernels.
+"""Batched NumPy implementations of the hot-path primitives.
 
 This is the production backend: one ``np.bincount`` per trace burst,
 one GEMM per MHM batch, and per-component triangular solves that are
 batched over all N samples at once (N is the large axis; J ≤ ~10).
+The mixture density, the EM E-step and the context score are composed
+from these primitives in :mod:`repro.kernels`, once for both backends.
 
 The numerics here are the pipeline's canonical numerics — the golden
 regression fixtures were produced by exactly these operations — so
@@ -107,21 +109,6 @@ def nearest_context_batch(
     return labels, distances
 
 
-def context_scores(
-    data: np.ndarray, centers: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    if data.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
-    labels, distances = nearest_context_batch(data, centers)
-    row_scales = np.asarray(scales, dtype=np.float64)[labels]
-    scores = np.zeros(len(distances), dtype=np.float64)
-    positive = row_scales > 0
-    np.divide(distances, row_scales, out=scores, where=positive)
-    scores[~positive & (distances > 0)] = np.inf
-    return scores
-
-
 def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     peak = values.max(axis=axis, keepdims=True)
@@ -135,36 +122,3 @@ def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
         )
     return result
 
-
-def _log_joint(
-    data: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-) -> np.ndarray:
-    from . import safe_log_weights
-
-    return component_log_densities(data, means, cholesky_factors) + safe_log_weights(
-        weights
-    )
-
-
-def log_density_batch(
-    data: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-) -> np.ndarray:
-    return logsumexp(_log_joint(data, weights, means, cholesky_factors), axis=1)
-
-
-def responsibilities_batch(
-    data: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    cholesky_factors: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    log_joint = _log_joint(data, weights, means, cholesky_factors)
-    log_norm = logsumexp(log_joint, axis=1)
-    responsibilities = np.exp(log_joint - log_norm[:, np.newaxis])
-    return log_norm, responsibilities

@@ -87,6 +87,23 @@ class TestRecording:
         with pytest.raises(ValueError, match="non-negative"):
             mhm.record_many(np.array([small_spec.base_address]), np.array([-1]))
 
+    def test_record_many_matches_scalar_records(self, mhm, small_spec):
+        """An unweighted burst straddling both region edges counts what
+        one scalar ``record`` per address counts."""
+        addresses = np.arange(
+            small_spec.base_address - 0x100, small_spec.end_address + 0x100, 7
+        )
+        scalar = MemoryHeatMap(small_spec)
+        expected = sum(scalar.record(int(a)) for a in addresses)
+        assert mhm.record_many(addresses) == expected
+        assert mhm == scalar
+
+    def test_record_many_empty_burst(self, mhm, small_spec):
+        empty = np.array([], dtype=np.int64)
+        assert mhm.record_many(empty) == 0
+        assert mhm.record_many(empty, np.array([], dtype=np.int64)) == 0
+        assert mhm.total_accesses == 0
+
     def test_record_range_sweep(self, mhm, small_spec):
         # A linear sweep over one full cell: granularity/stride accesses.
         accepted = mhm.record_range(

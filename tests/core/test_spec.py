@@ -1,6 +1,5 @@
 """Tests for the heat-map region spec (the hardware address formula)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,24 +82,6 @@ class TestCellArithmetic:
             small_spec.cell_range(small_spec.num_cells)
         with pytest.raises(IndexError):
             small_spec.cell_start(-1)
-
-    def test_vectorised_matches_scalar(self, small_spec):
-        addresses = np.arange(
-            small_spec.base_address - 0x100, small_spec.end_address + 0x100, 7
-        )
-        indices, in_region = small_spec.cell_indices(addresses)
-        expected_mask = np.array([small_spec.contains(int(a)) for a in addresses])
-        np.testing.assert_array_equal(in_region, expected_mask)
-        expected_indices = [
-            small_spec.cell_index(int(a)) for a in addresses[expected_mask]
-        ]
-        np.testing.assert_array_equal(indices, expected_indices)
-
-    def test_vectorised_empty_input(self, small_spec):
-        indices, in_region = small_spec.cell_indices(np.array([], dtype=np.int64))
-        assert indices.size == 0
-        assert in_region.size == 0
-
 
 class TestSerialisation:
     def test_roundtrip(self, paper_spec):

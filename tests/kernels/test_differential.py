@@ -4,8 +4,9 @@ Every kernel in :mod:`repro.kernels.vectorized` is held to the
 independently written pure-Python reference in
 :mod:`repro.kernels.reference` on hypothesis-generated inputs —
 bit-identical for integer counting, within 1e-9 for floating point —
-and the end-to-end pipeline must produce the same MHM counts and the
-same anomaly verdicts under either backend.
+and so is every kernel the facade composes from them, run under each
+backend.  The end-to-end pipeline must produce the same MHM counts and
+the same anomaly verdicts under either backend.
 """
 
 import numpy as np
@@ -175,6 +176,15 @@ def _gmm_case(rng, n, dim=5, num_components=3, zero_weight=False):
     return data, weights, means, cholesky_factors
 
 
+def on_each_backend(name, *args):
+    """``kernels.<name>(*args)`` under each backend: (vectorized, reference)."""
+    results = []
+    for backend in ("vectorized", "reference"):
+        with kernels.use_backend(backend):
+            results.append(getattr(kernels, name)(*args))
+    return results
+
+
 class TestGmmKernels:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -185,8 +195,9 @@ class TestGmmKernels:
     def test_log_density_matches_oracle(self, seed, n, zero_weight):
         rng = np.random.default_rng(seed)
         data, weights, means, chols = _gmm_case(rng, n, zero_weight=zero_weight)
-        vec = vectorized.log_density_batch(data, weights, means, chols)
-        ref = reference.log_density_batch(data, weights, means, chols)
+        vec, ref = on_each_backend(
+            "log_density_batch", data, weights, means, chols
+        )
         np.testing.assert_allclose(vec, ref, atol=ATOL, rtol=0)
 
     @given(
@@ -210,11 +221,8 @@ class TestGmmKernels:
     def test_responsibilities_match_oracle(self, seed, n, zero_weight):
         rng = np.random.default_rng(seed)
         data, weights, means, chols = _gmm_case(rng, n, zero_weight=zero_weight)
-        vec_norm, vec_resp = vectorized.responsibilities_batch(
-            data, weights, means, chols
-        )
-        ref_norm, ref_resp = reference.responsibilities_batch(
-            data, weights, means, chols
+        (vec_norm, vec_resp), (ref_norm, ref_resp) = on_each_backend(
+            "responsibilities_batch", data, weights, means, chols
         )
         np.testing.assert_allclose(vec_norm, ref_norm, atol=ATOL, rtol=0)
         np.testing.assert_allclose(vec_resp, ref_resp, atol=ATOL, rtol=0)
@@ -222,8 +230,9 @@ class TestGmmKernels:
     def test_single_sample_batch(self):
         rng = np.random.default_rng(11)
         data, weights, means, chols = _gmm_case(rng, 1)
-        vec = vectorized.log_density_batch(data, weights, means, chols)
-        ref = reference.log_density_batch(data, weights, means, chols)
+        vec, ref = on_each_backend(
+            "log_density_batch", data, weights, means, chols
+        )
         assert vec.shape == ref.shape == (1,)
         np.testing.assert_allclose(vec, ref, atol=ATOL, rtol=0)
 
@@ -254,15 +263,6 @@ def _context_case(rng, n, dim=6, num_contexts=4, zero_scales=0):
     return data, centers, scales
 
 
-def both_context_scores(data, centers, scales):
-    """``kernels.context_scores`` under each backend: (vectorized, reference)."""
-    scores = []
-    for backend in ("vectorized", "reference"):
-        with kernels.use_backend(backend):
-            scores.append(kernels.context_scores(data, centers, scales))
-    return scores
-
-
 class TestContextScores:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -273,7 +273,7 @@ class TestContextScores:
     def test_matches_oracle(self, seed, n, zero_scales):
         rng = np.random.default_rng(seed)
         data, centers, scales = _context_case(rng, n, zero_scales=zero_scales)
-        vec, ref = both_context_scores(data, centers, scales)
+        vec, ref = on_each_backend("context_scores", data, centers, scales)
         assert vec.shape == ref.shape == (n,)
         np.testing.assert_allclose(vec, ref, atol=ATOL, rtol=0)
 
@@ -283,13 +283,15 @@ class TestContextScores:
         centers = np.array([[0.0, 0.0], [10.0, 10.0]])
         scales = np.array([0.0, 2.0])
         data = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 12.0]])
-        for scores in both_context_scores(data, centers, scales):
+        for scores in on_each_backend("context_scores", data, centers, scales):
             np.testing.assert_array_equal(scores, [0.0, np.inf, 1.0])
 
     def test_empty_batch(self):
         centers = np.array([[0.0, 0.0], [10.0, 10.0]])
         scales = np.array([0.0, 2.0])
-        for scores in both_context_scores(np.empty((0, 2)), centers, scales):
+        for scores in on_each_backend(
+            "context_scores", np.empty((0, 2)), centers, scales
+        ):
             assert scores.shape == (0,)
             assert scores.dtype == np.float64
 

@@ -118,16 +118,17 @@ class TestFloat64Differential:
         )
         chunk = pad_to or n
         expected = []
-        for start in range(0, n, chunk):
-            rows = fx.matrix[start : start + chunk]
-            padded = np.zeros((chunk, CELLS))
-            padded[: len(rows)] = rows
-            reduced = vectorized.project_batch(padded, fx.mean, fx.components)
-            expected.append(
-                vectorized.log_density_batch(
-                    reduced, fx.weights, fx.gmm_means, fx.chols
-                )[: len(rows)]
-            )
+        with kernels.use_backend("vectorized"):
+            for start in range(0, n, chunk):
+                rows = fx.matrix[start : start + chunk]
+                padded = np.zeros((chunk, CELLS))
+                padded[: len(rows)] = rows
+                reduced = kernels.project_batch(padded, fx.mean, fx.components)
+                expected.append(
+                    kernels.log_density_batch(
+                        reduced, fx.weights, fx.gmm_means, fx.chols
+                    )[: len(rows)]
+                )
         np.testing.assert_array_equal(densities, np.concatenate(expected))
 
     @batch_cases

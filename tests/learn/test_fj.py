@@ -122,22 +122,25 @@ class TestPinnedFits:
 
 class TestKernelRouting:
     def test_e_step_calls_the_active_backend(self, monkeypatch):
-        """Each E-step is one ``responsibilities_batch`` call on the
+        """Each E-step evaluates ``component_log_densities`` on the
         active backend, so the reference backend runs the whole fit."""
         data = blobs([[0, 0], [10, 0]])
         for backend in kernels.BACKENDS:
             module = kernels.backend_module(backend)
             calls = []
-            original = module.responsibilities_batch
+            original = module.component_log_densities
 
             def probe(*args, _original=original, **kwargs):
                 calls.append(len(args[1]))
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "responsibilities_batch", probe)
+            monkeypatch.setattr(module, "component_log_densities", probe)
             with kernels.use_backend(backend):
                 model = FigueiredoJainGmm(
                     max_components=3, max_iterations=5, seed=0
                 ).fit(data)
+            # The last call scores the winning model; the one before it
+            # is the last E-step.
             assert calls and calls[0] == 3
-            assert calls[-1] == model.history_[-1][0]
+            assert calls[-2] == model.history_[-1][0]
+            assert calls[-1] == model.num_components_
