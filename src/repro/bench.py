@@ -2,7 +2,8 @@
 
 ``repro bench`` times every hot-path kernel through the
 :mod:`repro.kernels` facade under each backend, at one BLAS thread,
-plus a small end-to-end train/detect pipeline, and writes ``BENCH_kernels.json``: one entry per kernel with
+plus a small end-to-end train/detect pipeline, and writes
+``BENCH_kernels.json``: one entry per kernel with
 ``kernel, n, wall_s, speedup_vs_reference, git_sha``.  Subsequent PRs
 regress against this file — CI's ``bench-smoke`` job runs
 ``repro bench --smoke --check`` and fails when the vectorized backend

@@ -175,4 +175,3 @@ def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
             math.fsum(math.exp(value - peak) for value in row)
         )
     return out
-

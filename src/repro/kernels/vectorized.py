@@ -121,4 +121,3 @@ def logsumexp(values: np.ndarray, axis: int = 1) -> np.ndarray:
             axis
         )
     return result
-

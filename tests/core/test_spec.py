@@ -83,6 +83,7 @@ class TestCellArithmetic:
         with pytest.raises(IndexError):
             small_spec.cell_start(-1)
 
+
 class TestSerialisation:
     def test_roundtrip(self, paper_spec):
         assert HeatMapSpec.from_dict(paper_spec.to_dict()) == paper_spec
