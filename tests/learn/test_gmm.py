@@ -1,9 +1,12 @@
 """Tests for the Gaussian mixture model and EM."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from repro.kernels import DEFAULT_BACKEND, use_backend
 from repro.learn.gmm import GaussianMixtureModel, GmmParameters
 
 
@@ -250,3 +253,87 @@ class TestPersistence:
         np.testing.assert_allclose(
             restored.score_samples(data), model.score_samples(data), atol=1e-9
         )
+
+
+def tight_cluster_data():
+    """The near-deterministic data of ``test_degenerate_tight_cluster_survives``."""
+    rng = np.random.default_rng(0)
+    return np.concatenate(
+        [np.zeros((50, 3)), np.ones((50, 3)) * 5 + rng.normal(scale=1e-9, size=(50, 3))]
+    )
+
+
+def overlapping_data():
+    """Four overlapping blobs in 3-D: EM runs for dozens of iterations
+    and each seed lands on its own local optimum."""
+    rng = np.random.default_rng(7)
+    centers = rng.normal(scale=1.5, size=(4, 3))
+    labels = rng.integers(4, size=160)
+    return centers[labels] + rng.normal(size=(160, 3))
+
+
+def sparse_data():
+    """Too few samples per component, so k-means clusters with at most
+    ``dim`` members fall back to the global covariance seed."""
+    return np.random.default_rng(11).normal(size=(16, 4))
+
+
+#: (data, GaussianMixtureModel kwargs) per pinned fit.
+EM_FIT_CASES = {
+    **{
+        f"seed{seed}": (
+            overlapping_data,
+            dict(num_components=3, num_restarts=2, seed=seed),
+        )
+        for seed in range(6)
+    },
+    "one-component": (
+        lambda: three_component_data(n=150)[0],
+        dict(num_components=1, num_restarts=1, seed=0),
+    ),
+    "tight-cluster": (
+        tight_cluster_data,
+        dict(num_components=2, num_restarts=2, seed=0),
+    ),
+    "sparse": (sparse_data, dict(num_components=5, num_restarts=2, seed=0)),
+}
+
+#: sha256 (first 16 hex digits) of the fitted weights, means,
+#: covariances, ``log_likelihood_trajectory_``,
+#: ``training_log_likelihood_`` and ``iterations_`` per case.  A change
+#: to how EM seeds, steps or packages a fit must keep every bit.
+PINNED_EM_FITS = {
+    "one-component": "57e85f0d142524ec",
+    "seed0": "0f8a64e1dc967dbc",
+    "seed1": "865a7b2791fae9e8",
+    "seed2": "28cf66d956793631",
+    "seed3": "ed4484d241ca1fe3",
+    "seed4": "13fa798c3bd3d48c",
+    "seed5": "ed4484d241ca1fe3",
+    "sparse": "9e2c51d3920e4376",
+    "tight-cluster": "0a6973165054ebcd",
+}
+
+
+def em_fit_digest(model: GaussianMixtureModel) -> str:
+    params = model.parameters
+    digest = hashlib.sha256()
+    for array in (
+        params.weights,
+        params.means,
+        params.covariances,
+        np.array(model.log_likelihood_trajectory_, dtype=np.float64),
+        np.array([model.training_log_likelihood_]),
+        np.array([model.iterations_], dtype=np.float64),
+    ):
+        digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestPinnedFits:
+    @pytest.mark.parametrize("case", sorted(EM_FIT_CASES))
+    def test_fit_is_bit_identical(self, case):
+        data_fn, kwargs = EM_FIT_CASES[case]
+        with use_backend(DEFAULT_BACKEND):
+            model = GaussianMixtureModel(**kwargs).fit(data_fn())
+        assert em_fit_digest(model) == PINNED_EM_FITS[case]
