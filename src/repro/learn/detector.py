@@ -123,8 +123,8 @@ class MhmDetector:
                 calibration = self.eigenmemory.transform(as_matrix(validation))
             else:
                 calibration = reduced
-            self.thresholds = ThresholdBank.calibrate_from_gmm(
-                self.gmm, calibration, self.quantiles
+            self.thresholds = ThresholdBank.calibrate(
+                self.gmm.score_samples(calibration), self.quantiles
             )
         return self
 

@@ -12,6 +12,13 @@ The E-step evaluates the mixture through
 ``kernels.responsibilities_batch``, the same dispatching kernel as
 :class:`~repro.learn.gmm.GaussianMixtureModel`'s EM, so
 ``REPRO_KERNELS=reference`` runs the whole fit on the scalar oracle.
+The M-step is :func:`~repro.learn.gmm.m_step` and the seed covariance
+:func:`~repro.learn.gmm.global_covariance`, both shared with that EM.
+Here the ridge is ``covariance_ridge·trace/D`` (1e-6 by default) at
+the seed and at every M-step, and each component's mass is its bare
+responsibility total; :mod:`repro.learn.gmm` lists every ridge scale.
+The winner is packaged by
+:meth:`~repro.learn.gmm.GaussianMixtureModel.from_arrays`.
 
 Used by the ablation benchmark A4 to check how the automatic J compares
 with the paper's hand-picked 5 on MHM training data.
@@ -24,7 +31,12 @@ from typing import Optional
 import numpy as np
 
 from .. import kernels
-from .gmm import GaussianMixtureModel, GmmParameters, regularized_cholesky
+from .gmm import (
+    GaussianMixtureModel,
+    global_covariance,
+    m_step,
+    regularized_cholesky,
+)
 from .kmeans import kmeans
 
 __all__ = ["FigueiredoJainGmm"]
@@ -85,8 +97,7 @@ class FigueiredoJainGmm:
         # Over-provisioned k-means start.
         km = kmeans(data, start_j, rng)
         means = km.centers.copy()
-        global_cov = np.cov(data, rowvar=False).reshape(dim, dim)
-        scale = max(float(np.trace(global_cov)) / dim, 1e-12)
+        global_cov, scale = global_covariance(data)
         ridge = self.covariance_ridge * scale
         covariances = np.array(
             [global_cov + ridge * np.eye(dim) for _ in range(start_j)]
@@ -96,9 +107,8 @@ class FigueiredoJainGmm:
         #: free parameters per component: mean + symmetric covariance
         params_per_component = dim + dim * (dim + 1) / 2.0
 
-        best_params: Optional[GmmParameters] = None
+        best: Optional[dict] = None
         best_length = np.inf
-        best_j = start_j
 
         while len(weights) >= self.min_components:
             weights, means, covariances, log_likelihood = self._cem_sweep(
@@ -113,12 +123,7 @@ class FigueiredoJainGmm:
             self.history_.append((j, length))
             if length < best_length:
                 best_length = length
-                best_j = j
-                best_params = GmmParameters(
-                    weights=weights.copy(),
-                    means=means.copy(),
-                    covariances=covariances.copy(),
-                )
+                best = {"weights": weights, "means": means, "covariances": covariances}
             if j <= self.min_components:
                 break
             # Forced annihilation: kill the weakest component and resweep.
@@ -128,24 +133,22 @@ class FigueiredoJainGmm:
             covariances = np.delete(covariances, drop, axis=0)
             weights = weights / weights.sum()
 
-        if best_params is None:
+        if best is None:
             raise RuntimeError("Figueiredo-Jain failed to retain any component")
 
-        model = GaussianMixtureModel(num_components=best_j, seed=self.seed)
-        model.parameters = best_params
-        model.converged_ = True
+        model = GaussianMixtureModel.from_arrays(best, seed=self.seed)
         model.training_log_likelihood_ = float(
             model.score_samples(data).sum()
         )
         self.model_ = model
-        self.num_components_ = best_j
+        self.num_components_ = model.num_components
         self.message_length_ = best_length
         return self
 
     # ------------------------------------------------------------------
     def _cem_sweep(self, data, weights, means, covariances, ridge, nppc):
         """Component-wise EM with MML weight shrinkage and annihilation."""
-        n_samples, dim = data.shape
+        n_samples = len(data)
         previous_ll = -np.inf
         log_likelihood = -np.inf
         for _ in range(self.max_iterations):
@@ -181,12 +184,7 @@ class FigueiredoJainGmm:
                 continue
 
             weights = new_weights
-            means = (responsibilities.T @ data) / mass[:, np.newaxis]
-            for k in range(j):
-                centered = data - means[k]
-                weighted = centered * responsibilities[:, k : k + 1]
-                covariances[k] = (weighted.T @ centered) / mass[k]
-                covariances[k] += ridge * np.eye(dim)
+            means, covariances = m_step(data, responsibilities, mass, ridge)
 
             if abs(log_likelihood - previous_ll) < self.tolerance * n_samples:
                 break

@@ -18,6 +18,21 @@ All density work is done in log space with the log-sum-exp trick, and
 component covariances carry a ridge regulariser so the tight clusters
 of a predictable real-time workload cannot collapse EM.
 
+Both fitters here (this module's EM and the Figueiredo–Jain fitter of
+:mod:`repro.learn.fj`) share one M-step, :func:`m_step`, and seed their
+covariances from one :func:`global_covariance`.  Each caller picks its
+own ridge, so the four ridge scales read at their call sites:
+
+* GMM seed (``_initial_parameters``): ``covariance_ridge·trace/D``,
+  1e-4 by default, with ``trace/D`` from :func:`global_covariance`;
+* GMM M-step (``_run_em``): ``covariance_ridge·var(data)``, the
+  variance of the flattened data matrix;
+* Figueiredo–Jain seed and M-step: ``1e-6·trace/D`` by default;
+* scoring: :class:`GmmParameters` factors every covariance through
+  :func:`regularized_cholesky`, which always adds
+  ``1e-6·max(1, trace(Σ_j)/D)``.  The densities are therefore scored
+  on Σ_j plus a ridge that the stored ``covariances`` do not carry.
+
 Every mixture density in :mod:`repro.learn` routes through
 :mod:`repro.kernels` (``log_density_batch`` /
 ``responsibilities_batch``): this module's E-step, the
@@ -46,7 +61,13 @@ import numpy as np
 from .. import kernels, obs
 from .kmeans import kmeans
 
-__all__ = ["GmmParameters", "GaussianMixtureModel", "regularized_cholesky"]
+__all__ = [
+    "GmmParameters",
+    "GaussianMixtureModel",
+    "global_covariance",
+    "m_step",
+    "regularized_cholesky",
+]
 
 
 def regularized_cholesky(covariance: np.ndarray, ridge: float = 1e-6) -> np.ndarray:
@@ -70,6 +91,37 @@ def regularized_cholesky(covariance: np.ndarray, ridge: float = 1e-6) -> np.ndar
     raise np.linalg.LinAlgError(
         "covariance matrix is not positive definite even after regularisation"
     )
+
+
+def global_covariance(data: np.ndarray) -> tuple[np.ndarray, float]:
+    """The (D, D) covariance of all of ``data`` and its scale.
+
+    The scale is ``trace/D`` floored at 1e-12.  Both fitters seed their
+    components from this covariance.
+    """
+    dim = data.shape[1]
+    covariance = np.cov(data, rowvar=False).reshape(dim, dim)
+    return covariance, max(float(np.trace(covariance)) / dim, 1e-12)
+
+
+def m_step(
+    data: np.ndarray, responsibilities: np.ndarray, mass: np.ndarray, ridge: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted means and ``ridge``-loaded covariances of every component.
+
+    ``mass`` is each component's responsibility total, the divisor of
+    its mean and covariance.  The caller passes it because the fitters
+    guard it differently (EM adds 1e-12, Figueiredo–Jain does not).
+    """
+    dim = data.shape[1]
+    means = (responsibilities.T @ data) / mass[:, np.newaxis]
+    covariances = np.empty((len(mass), dim, dim))
+    for j in range(len(mass)):
+        centered = data - means[j]
+        weighted = centered * responsibilities[:, j : j + 1]
+        covariances[j] = (weighted.T @ centered) / mass[j]
+        covariances[j] += ridge * np.eye(dim)
+    return means, covariances
 
 
 @dataclass
@@ -206,8 +258,7 @@ class GaussianMixtureModel:
         """Seed from k-means: cluster means, within-cluster covariances."""
         result = kmeans(data, self.num_components, rng)
         dim = data.shape[1]
-        global_cov = np.cov(data, rowvar=False).reshape(dim, dim)
-        scale = max(float(np.trace(global_cov)) / dim, 1e-12)
+        global_cov, scale = global_covariance(data)
         weights = np.empty(self.num_components)
         covariances = np.empty((self.num_components, dim, dim))
         for j in range(self.num_components):
@@ -227,7 +278,9 @@ class GaussianMixtureModel:
         self, data: np.ndarray, rng: np.random.Generator
     ) -> tuple[GmmParameters, float, bool, int, list]:
         params = self._initial_parameters(data, rng)
-        n_samples, dim = data.shape
+        n_samples = len(data)
+        # The M-step ridge scales by the flattened data's variance, not
+        # by the trace/D of global_covariance that both seeds use.
         scale = max(float(np.var(data)), 1e-12)
         ridge = self.covariance_ridge * scale
 
@@ -251,13 +304,7 @@ class GaussianMixtureModel:
             # M-step.
             component_mass = responsibilities.sum(axis=0) + 1e-12
             weights = component_mass / n_samples
-            means = (responsibilities.T @ data) / component_mass[:, np.newaxis]
-            covariances = np.empty((self.num_components, dim, dim))
-            for j in range(self.num_components):
-                centered = data - means[j]
-                weighted = centered * responsibilities[:, j : j + 1]
-                covariances[j] = (weighted.T @ centered) / component_mass[j]
-                covariances[j] += ridge * np.eye(dim)
+            means, covariances = m_step(data, responsibilities, component_mass, ridge)
             weights = weights / weights.sum()
             params = GmmParameters(
                 weights=weights, means=means, covariances=covariances

@@ -57,23 +57,6 @@ class ThresholdBank:
             }
         )
 
-    @classmethod
-    def calibrate_from_gmm(
-        cls,
-        gmm,
-        reduced_validation: np.ndarray,
-        quantiles: Iterable[float] = DEFAULT_QUANTILES,
-    ) -> "ThresholdBank":
-        """Calibrate θ_p from a fitted mixture and reduced normal MHMs.
-
-        Scores the whole validation set through the batched
-        ``repro.kernels`` density kernel (one pass over all samples and
-        components) before taking the quantiles — the same scoring path
-        EM and detector scoring use, so a backend switch cannot move
-        the thresholds relative to the densities they gate.
-        """
-        return cls.calibrate(gmm.score_samples(reduced_validation), quantiles)
-
     def threshold(self, p_percent: float) -> float:
         try:
             return self.thresholds[float(p_percent)]
