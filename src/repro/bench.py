@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import json
+import statistics
 import subprocess
 import time
 from dataclasses import asdict, dataclass
@@ -80,6 +81,9 @@ SPEEDUP_FLOORS = {
 }
 DEFAULT_SPEEDUP_FLOOR = 1.0
 
+#: Interleaved (reference shot, vectorized window) rounds per timing.
+TIMING_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class BenchResult:
@@ -108,20 +112,27 @@ def git_sha() -> str:
         return "unknown"
 
 
-def _time_vectorized(fn: Callable[[], object], repeats: int) -> float:
-    """Best-of-``repeats`` wall time with one warmup call (BLAS spin-up)."""
-    fn()
+def _time_vectorized(
+    fn: Callable[[], object], repeats: int, window_s: float
+) -> float:
+    """Best per-call wall time over at least ``repeats`` calls whose
+    summed wall time reaches ``window_s``."""
     best = float("inf")
-    for _ in range(max(repeats, 1)):
+    calls = 0
+    spent = 0.0
+    while calls < max(repeats, 1) or spent < window_s:
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
+        took = time.perf_counter() - start
+        best = min(best, took)
+        spent += took
+        calls += 1
     return best
 
 
 def _time_reference(fn: Callable[[], object]) -> float:
     """Single-shot wall time — the scalar oracle needs no warmup and is
-    too slow to repeat."""
+    too slow to repeat within a round."""
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
@@ -130,16 +141,30 @@ def _time_reference(fn: Callable[[], object]) -> float:
 def _time_backends(fn: Callable[[], object], repeats: int) -> tuple[float, float]:
     """``(vectorized_s, reference_s)``: ``fn`` timed under each backend.
 
+    After one vectorized warmup call (BLAS spin-up), ``TIMING_ROUNDS``
+    rounds each take one reference shot and then time the vectorized
+    side over a window as long as that shot; each side reports its
+    median round.  So both sides see the same spans of host load, and
+    a burst that covers one window alone cannot move either figure: a
+    best-of-3 inside a ~1 ms window read 30% slow whenever a burst
+    covered just it.
+
     Both timings run at one BLAS thread: the benched batches are small,
     and on a 2-vCPU host a second OpenBLAS thread now and then stalled
     a ~0.3 ms call for ~40 ms, far below its speedup floor.
     """
+    vectorized, reference = [], []
     with one_blas_thread():
         with kernels.use_backend("vectorized"):
-            vectorized_s = _time_vectorized(fn, repeats)
-        with kernels.use_backend("reference"):
-            reference_s = _time_reference(fn)
-    return vectorized_s, reference_s
+            fn()
+        for _ in range(TIMING_ROUNDS):
+            with kernels.use_backend("reference"):
+                reference.append(_time_reference(fn))
+            with kernels.use_backend("vectorized"):
+                vectorized.append(
+                    _time_vectorized(fn, repeats, window_s=reference[-1])
+                )
+    return statistics.median(vectorized), statistics.median(reference)
 
 
 def _result(

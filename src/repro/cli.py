@@ -406,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--repeats", type=int, default=3,
-        help="timed repetitions per vectorized kernel (best-of wins)",
+        help="minimum timed vectorized calls per round (best per call "
+        "wins; calls repeat until they span the round's reference shot)",
     )
     bench.add_argument(
         "--seed", type=int, default=2015, help="fixture/e2e seed"
