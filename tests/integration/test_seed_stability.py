@@ -18,6 +18,8 @@ import pathlib
 import subprocess
 import sys
 
+from repro.kernels import DEFAULT_BACKEND, ENV_VAR
+
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 GOLDEN_PATH = FIXTURES / "golden_shellcode_tiny.json"
 
@@ -58,5 +60,10 @@ def test_two_fresh_runs_produce_identical_digests():
 
 
 def test_fresh_run_matches_committed_golden_fixture():
+    # The fixture holds the default backend's bits; the child must not
+    # inherit another backend from REPRO_KERNELS.
     committed = json.loads(GOLDEN_PATH.read_text())["fingerprint"]
-    assert _fresh_run_fingerprint({"PYTHONHASHSEED": "3"}) == committed
+    fingerprint = _fresh_run_fingerprint(
+        {"PYTHONHASHSEED": "3", ENV_VAR: DEFAULT_BACKEND}
+    )
+    assert fingerprint == committed

@@ -189,6 +189,14 @@ def _fit_contexts(fit, data) -> ContextDetector:
 
 
 class TestCallSites:
+    """Each probe wraps a vectorized-backend primitive, so every call
+    site runs on that backend."""
+
+    @pytest.fixture(autouse=True)
+    def _vectorized(self):
+        with kernels.use_backend("vectorized"):
+            yield
+
     def test_mhm_fit_runs_at_one_thread(self, monkeypatch, two_threads, data):
         seen = _probe(monkeypatch, "project_batch")
         _fit_mhm(MhmDetector.fit, data)

@@ -180,11 +180,11 @@ class TestServeLayerPins:
         detector.phase_sums_ = fx.phase_means.copy()
         detector.phase_counts_ = np.ones(HYPERPERIOD, dtype=np.int64)
         scores = _fused(vectorized, fx, pad_to=None)
-        np.testing.assert_array_equal(
-            scores[1], detector.score_series(fx.syscalls)
-        )
         start = int(fx.phases[0])
-        expected_drift = detector.drift_series(fx.syscalls, start_index=start)
+        with kernels.use_backend("vectorized"):
+            context_scores = detector.score_series(fx.syscalls)
+            expected_drift = detector.drift_series(fx.syscalls, start_index=start)
+        np.testing.assert_array_equal(scores[1], context_scores)
         cumulative = np.cumsum(scores[2], axis=0)
         np.testing.assert_array_equal(
             np.abs(cumulative).max(axis=1), expected_drift
@@ -276,9 +276,10 @@ class TestFleetScorer:
             context_hyperperiod=HYPERPERIOD,
         )
         indices = np.arange(15) + 23
-        got = scorer.score(
-            fx.matrix, syscalls=fx.syscalls, interval_indices=indices
-        )
+        with kernels.use_backend("vectorized"):
+            got = scorer.score(
+                fx.matrix, syscalls=fx.syscalls, interval_indices=indices
+            )
         fx.phases = indices % HYPERPERIOD
         want = _fused(vectorized, fx, pad_to=None)
         np.testing.assert_array_equal(got.log_densities, want[0])
@@ -306,7 +307,8 @@ class TestFleetScorer:
             gmm_means=fx.gmm_means,
             gmm_cholesky_factors=fx.chols,
         )
-        scores = scorer.score(fx.matrix, pad_to=4)
+        with kernels.use_backend("vectorized"):
+            scores = scorer.score(fx.matrix, pad_to=4)
         assert scores.context_scores is None
         assert scores.context_residuals is None
         want = _fused(vectorized, fx, pad_to=4, with_context=False)

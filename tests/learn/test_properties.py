@@ -15,6 +15,7 @@ randomly generated MHM-like batches rather than hand-picked fixtures:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,27 @@ def _blob_batch(seed: int, samples: int, features: int, clusters: int) -> np.nda
     return centers[labels] + rng.normal(scale=0.7, size=(samples, features))
 
 
+def _check_em_fit(seed: int, samples: int, features: int, components: int) -> None:
+    data = _blob_batch(seed, samples, features, clusters=components)
+    gmm = GaussianMixtureModel(
+        num_components=components, num_restarts=1, max_iterations=50, seed=seed
+    )
+    gmm.fit(data)
+
+    densities = gmm.score_samples(data)
+    assert np.all(np.isfinite(densities))
+
+    trajectory = np.asarray(gmm.log_likelihood_trajectory_)
+    assert trajectory.size >= 1 and np.all(np.isfinite(trajectory))
+    # EM guarantee: mean LL never decreases ⇔ NLL never increases.
+    # The covariance ridge (default 1e-4) perturbs the exact M-step
+    # maximizer, so monotonicity holds up to a ridge-scale slack —
+    # still ~100x tighter than any genuine EM regression.
+    nll = -trajectory
+    slack = 1e-4 * np.maximum(1.0, np.abs(trajectory[:-1]))
+    assert np.all(np.diff(nll) <= slack)
+
+
 class TestGmmProperties:
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -42,24 +64,25 @@ class TestGmmProperties:
     def test_density_finite_and_nll_non_increasing(
         self, seed, samples, features, components
     ):
-        data = _blob_batch(seed, samples, features, clusters=components)
-        gmm = GaussianMixtureModel(
-            num_components=components, num_restarts=1, max_iterations=50, seed=seed
-        )
-        gmm.fit(data)
+        _check_em_fit(seed, samples, features, components)
 
-        densities = gmm.score_samples(data)
-        assert np.all(np.isfinite(densities))
-
-        trajectory = np.asarray(gmm.log_likelihood_trajectory_)
-        assert trajectory.size >= 1 and np.all(np.isfinite(trajectory))
-        # EM guarantee: mean LL never decreases ⇔ NLL never increases.
-        # The covariance ridge (default 1e-4) perturbs the exact M-step
-        # maximizer, so monotonicity holds up to a ridge-scale slack —
-        # still ~100x tighter than any genuine EM regression.
-        nll = -trajectory
-        slack = 1e-4 * np.maximum(1.0, np.abs(trajectory[:-1]))
-        assert np.all(np.diff(nll) <= slack)
+    # Examples hypothesis found once.  EM keeps the worse parameters
+    # when a ridged step lowers the likelihood, so their NLL rises past
+    # the slack (by 4.2e-4, 9.6e-3 and 3.29e-4).  When EM is fixed these
+    # xfails turn red; move the examples onto the property test above
+    # as @example entries then.
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 'Two pre-existing defects that re-record "
+        "perfbench/golden.json': GMM EM keeps the worse parameters when "
+        "a step lowers the likelihood",
+    )
+    @pytest.mark.parametrize(
+        "seed, samples, features, components",
+        [(26271, 30, 3, 3), (1262, 37, 4, 3), (12516, 35, 2, 3)],
+    )
+    def test_recorded_nll_rises(self, seed, samples, features, components):
+        _check_em_fit(seed, samples, features, components)
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=15, deadline=None)

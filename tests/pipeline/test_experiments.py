@@ -53,7 +53,8 @@ class TestArtifacts:
             post_attack_intervals=10,
             em_restarts=1,
         )
-        default = get_reference_artifacts(tiny)
+        with kernels.use_backend(kernels.DEFAULT_BACKEND):
+            default = get_reference_artifacts(tiny)
         with kernels.use_backend("reference"):
             reference = get_reference_artifacts(tiny)
             assert get_reference_artifacts(tiny) is reference

@@ -21,6 +21,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.kernels import DEFAULT_BACKEND, use_backend
 from repro.pipeline.runner import ExperimentJob, TrainSpec, run_job
 from repro.sim.platform import PlatformConfig
 
@@ -48,7 +49,9 @@ ATOL = 0.0
 
 
 def _golden_payload() -> dict:
-    result = run_job(GOLDEN_JOB, use_cache=False)
+    # The fixture holds the default kernels backend's bits.
+    with use_backend(DEFAULT_BACKEND):
+        result = run_job(GOLDEN_JOB, use_cache=False)
     return {
         "job": GOLDEN_JOB.name,
         "scenario": GOLDEN_JOB.scenario,

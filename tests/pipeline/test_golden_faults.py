@@ -20,6 +20,7 @@ import pathlib
 import pytest
 
 from repro.faults import FaultPlan
+from repro.kernels import DEFAULT_BACKEND, use_backend
 from repro.pipeline.runner import ExperimentJob, ExperimentRunner, TrainSpec
 from repro.sim.platform import PlatformConfig
 
@@ -61,7 +62,9 @@ def _campaign_payload() -> dict:
         backoff_base=0.01,
         fault_plan=FaultPlan.from_dict(GOLDEN_PLAN),
     )
-    results = runner.run(GOLDEN_GRID)
+    # The survivors' fingerprints are the default kernels backend's bits.
+    with use_backend(DEFAULT_BACKEND):
+        results = runner.run(GOLDEN_GRID)
     manifest = runner.failure_manifest()
     # Tracebacks carry absolute source paths — machine-specific, so
     # the frozen manifest keeps everything but them.

@@ -25,6 +25,7 @@ import pathlib
 import pytest
 
 from repro import faults
+from repro.kernels import DEFAULT_BACKEND, use_backend
 from repro.serve import FleetService, health_summary
 
 pytestmark = pytest.mark.bus
@@ -63,10 +64,15 @@ def _canonical_json(report) -> str:
 
 
 def _check_golden(base_config, update_goldens, modality, plan, shards):
-    """Run one golden case and compare (or, on update, record) it."""
-    report = _run(
-        base_config, fault_plan=_plan(plan), modality=modality, shards=shards
-    )
+    """Run one golden case and compare (or, on update, record) it.
+
+    The goldens hold the default kernels backend's bits, so the run
+    pins that backend (forked shard children inherit it).
+    """
+    with use_backend(DEFAULT_BACKEND):
+        report = _run(
+            base_config, fault_plan=_plan(plan), modality=modality, shards=shards
+        )
     key = f"{modality}/{plan}/shards={shards}"
     goldens = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     if update_goldens:
@@ -175,6 +181,7 @@ class TestCadences:
     def test_cadence_one_everywhere_matches_lockstep(self, base_config):
         """cadences=(1,) is the degenerate case: every device ticks
         every step, so the run must equal the cadence-free golden."""
-        report = _run(base_config, cadences=(1,))
+        with use_backend(DEFAULT_BACKEND):
+            report = _run(base_config, cadences=(1,))
         golden = json.loads(GOLDEN_PATH.read_text())["mhm/none/shards=1"]
         assert _canonical_json(report) == json.dumps(golden, sort_keys=True)

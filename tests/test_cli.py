@@ -14,6 +14,7 @@ from repro.cli import (
     build_parser,
     main,
 )
+from repro.kernels import DEFAULT_BACKEND, use_backend
 from repro.learn.detector import LN10
 from repro.learn.ensemble import EnsembleConfig
 from repro.obs.snapshots import latest_snapshots
@@ -28,22 +29,25 @@ GOLDEN_MONITOR_ATTACK = json.loads(
 
 @pytest.fixture(scope="module")
 def trained_detector_path(tmp_path_factory):
+    """A quick CLI detector, fitted on the default kernels backend: the
+    monitor/attack goldens were recorded on its bits."""
     path = tmp_path_factory.mktemp("cli") / "detector.npz"
-    code = main(
-        [
-            "train",
-            "--runs",
-            "2",
-            "--intervals",
-            "60",
-            "--validation",
-            "60",
-            "--restarts",
-            "2",
-            "--out",
-            str(path),
-        ]
-    )
+    with use_backend(DEFAULT_BACKEND):
+        code = main(
+            [
+                "train",
+                "--runs",
+                "2",
+                "--intervals",
+                "60",
+                "--validation",
+                "60",
+                "--restarts",
+                "2",
+                "--out",
+                str(path),
+            ]
+        )
     assert code == EXIT_OK
     return path
 
@@ -251,9 +255,10 @@ class TestMonitorAttackGolden:
     def test_verdicts_match_golden(self, trained_detector_path, capsys, case):
         golden = GOLDEN_MONITOR_ATTACK["cases"][case]
         command, *rest = golden["argv"]
-        code = main(
-            [command, "--detector", str(trained_detector_path), "--json", *rest]
-        )
+        with use_backend(DEFAULT_BACKEND):
+            code = main(
+                [command, "--detector", str(trained_detector_path), "--json", *rest]
+            )
         payload = json.loads(capsys.readouterr().out)
         assert code == golden["exit_code"]
         assert golden_verdicts(payload) == golden["verdicts"]
