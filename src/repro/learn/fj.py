@@ -17,8 +17,6 @@ The M-step is :func:`~repro.learn.gmm.m_step` and the seed covariance
 Here the ridge is ``covariance_ridge·trace/D`` (1e-6 by default) at
 the seed and at every M-step, and each component's mass is its bare
 responsibility total; :mod:`repro.learn.gmm` lists every ridge scale.
-The winner is packaged by
-:meth:`~repro.learn.gmm.GaussianMixtureModel.from_arrays`.
 
 Used by the ablation benchmark A4 to check how the automatic J compares
 with the paper's hand-picked 5 on MHM training data.
@@ -31,12 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .. import kernels
-from .gmm import (
-    GaussianMixtureModel,
-    global_covariance,
-    m_step,
-    regularized_cholesky,
-)
+from .gmm import GaussianMixtureModel, global_covariance, m_step, regularized_cholesky
 from .kmeans import kmeans
 
 __all__ = ["FigueiredoJainGmm"]

@@ -96,8 +96,9 @@ def regularized_cholesky(covariance: np.ndarray, ridge: float = 1e-6) -> np.ndar
 def global_covariance(data: np.ndarray) -> tuple[np.ndarray, float]:
     """The (D, D) covariance of all of ``data`` and its scale.
 
-    The scale is ``trace/D`` floored at 1e-12.  Both fitters seed their
-    components from this covariance.
+    The scale is ``trace/D`` floored at 1e-12.  Figueiredo–Jain seeds
+    every component with this covariance, EM each component with too
+    few members, and both scale their seed ridge by it.
     """
     dim = data.shape[1]
     covariance = np.cov(data, rowvar=False).reshape(dim, dim)
